@@ -182,16 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help=f"store directory, or host:port with --store remote "
-        f"(default: ${CACHE_DIR_ENV})",
-    )
-    parser.add_argument(
-        "--retries",
-        type=_positive_int("--retries"),
-        default=2,
-        metavar="N",
-        help="in-process attempts per key when salvaging a broken "
-        "worker pool (default: 2)",
+        help=f"store directory (default: ${CACHE_DIR_ENV})",
     )
     parser.add_argument(
         "--report-dir",
@@ -228,7 +219,6 @@ def execute(
     cache_dir: str,
     store: str = "json",
     jobs: int = 1,
-    retries: int = 2,
     report_dir: Optional[str] = None,
 ) -> int:
     """Run one ablation and render it; the shared CLI body.
@@ -247,11 +237,7 @@ def execute(
     config = AblationConfig(**config_kwargs)
     try:
         report = run_ablation(
-            config,
-            cache_dir=cache_dir,
-            store=store,
-            jobs=jobs,
-            retries=retries,
+            config, cache_dir=cache_dir, store=store, jobs=jobs
         )
     except AblationError as exc:
         print(f"error: {exc}")
@@ -298,6 +284,5 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache_dir=cache_dir,
         store=args.store,
         jobs=args.jobs,
-        retries=args.retries,
         report_dir=args.report_dir,
     )

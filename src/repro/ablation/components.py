@@ -245,11 +245,6 @@ class Component:
                 f"known: {'/'.join(DETECTORS)}"
             )
 
-    @property
-    def needs_own_study(self) -> bool:
-        """Whether the component's study key differs from baseline's."""
-        return self.variant != DEFAULT_VARIANT or self.schedule != "default"
-
 
 #: Every ablatable component, in registry (presentation) order.
 COMPONENTS: Dict[str, Component] = {

@@ -43,7 +43,6 @@ from repro.ablation.components import (
     get_variant,
 )
 from repro.analysis.confusion import ConfusionMatrix
-from repro.backends.simulated import SimulatedBackend
 from repro.core.discriminants import (
     BenchmarkDiscriminant,
     Discriminant,
@@ -403,7 +402,6 @@ def run_ablation(
     cache_dir: Union[str, Path],
     store: str = "json",
     jobs: int = 1,
-    retries: int = 2,
 ) -> AblationReport:
     """Run the full baseline-plus-one-off matrix and build the report.
 
@@ -414,9 +412,7 @@ def run_ablation(
     components on partial data.
     """
     keys = config.study_keys()
-    runner = StudyRunner(
-        cache_dir=Path(cache_dir), store=store, jobs=jobs, retries=retries
-    )
+    runner = StudyRunner(cache_dir=Path(cache_dir), store=store, jobs=jobs)
     run_report = runner.run(keys)
     failed = [o for o in run_report.outcomes if o.status == "failed"]
     if failed:

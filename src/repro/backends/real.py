@@ -19,7 +19,6 @@ from repro.backends.base import Backend
 from repro.expressions import blas
 from repro.expressions.base import Algorithm
 from repro.expressions.registry import get_expression
-from repro.kernels.flops import kernel_flops
 from repro.kernels.types import KernelName
 
 
@@ -153,6 +152,3 @@ class RealBlasBackend(Backend):
         actual = algorithm.execute(operands)
         scale = float(np.max(np.abs(expected))) or 1.0
         return float(np.max(np.abs(actual - expected))) / scale
-
-    def flops_estimate(self, algorithm: Algorithm, instance: Sequence[int]) -> int:
-        return int(algorithm.flops(tuple(map(int, instance))))

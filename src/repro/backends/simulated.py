@@ -165,10 +165,6 @@ class SimulatedBackend(Backend):
             memo.put(key, cached)
         return cached
 
-    def kernel_efficiency(self, kernel: KernelName, dims: Sequence[int]) -> float:
-        """Noise-free analytic efficiency (used by Figure 1's ideal curves)."""
-        return self.machine.efficiency(kernel, dims)
-
     # ------------------------------------------------------------------
     # Batch protocol — vectorized through the machine
     # ------------------------------------------------------------------

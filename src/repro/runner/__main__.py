@@ -159,20 +159,6 @@ def _positive_jobs(raw: str) -> int:
     return value
 
 
-def _positive_retries(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--retries takes a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--retries must be >= 1, got {value}"
-        )
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runner",
@@ -254,16 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help=f"store directory, or host:port with --store remote "
-        f"(default: ${CACHE_DIR_ENV})",
-    )
-    parser.add_argument(
-        "--retries",
-        type=_positive_retries,
-        default=2,
-        metavar="N",
-        help="in-process attempts per key when salvaging a broken "
-        "worker pool (default: 2)",
+        help=f"store directory (default: ${CACHE_DIR_ENV})",
     )
     parser.add_argument(
         "--extra",
@@ -371,7 +348,6 @@ def _run_ablation(
         cache_dir=cache_dir,
         store=args.store,
         jobs=args.jobs,
-        retries=args.retries,
         report_dir=args.report_dir,
     )
 
@@ -436,12 +412,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for key in keys:
             print(key.slug)
         return 0
-    runner = StudyRunner(
-        cache_dir=cache_dir,
-        store=args.store,
-        jobs=args.jobs,
-        retries=args.retries,
-    )
+    runner = StudyRunner(cache_dir=cache_dir, store=args.store, jobs=args.jobs)
     report = runner.run(keys)
     for outcome in report.outcomes:
         line = (

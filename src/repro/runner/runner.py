@@ -24,17 +24,17 @@ further hardening layers on top of that:
   status.
 * a worker process dying outright (OOM kill, segfault) breaks the
   whole ``ProcessPoolExecutor``; :meth:`StudyRunner.run` catches the
-  resulting ``BrokenProcessPool`` instead of losing the run.  Keys
-  whose results already reached the store are recognised by the
-  sequential retry's store probe (they come back ``cached``); only the
-  genuinely missing keys recompute, in-process, where a crash is
-  attributable to its study.
+  resulting ``BrokenProcessPool`` instead of losing the run.  Each
+  key without an outcome reruns once, in-process: keys whose results
+  already reached the store are recognised by the store probe (they
+  come back ``cached``); only the genuinely missing keys recompute,
+  where a crash is attributable to its study.  One rerun is enough —
+  :func:`run_study` is deterministic and contains its own exceptions,
+  so a second attempt could only repeat the first.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -44,13 +44,6 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.figures.cache import StudyKey, make_store
 from repro.figures.common import FigureConfig, compute_study_results
-from repro.resilience import RetryPolicy, faults
-
-#: Backoff schedule of the sequential resubmission after a broken
-#: worker pool (attempts come from :attr:`StudyRunner.retries`).
-RESUBMIT_RETRY = RetryPolicy(
-    attempts=2, base_delay=0.05, multiplier=2.0, max_delay=1.0
-)
 
 
 @dataclass(frozen=True)
@@ -61,9 +54,6 @@ class StudyOutcome:
     status: str  # "computed" | "cached" | "failed"
     seconds: float
     error: str = ""
-    #: How many in-process attempts this outcome took (one unless the
-    #: broken-pool salvage path retried the key).
-    attempts: int = 1
 
 
 @dataclass(frozen=True)
@@ -154,18 +144,6 @@ def run_study(key: StudyKey, store_kind: str, cache_dir: str) -> StudyOutcome:
     start = time.perf_counter()
     notes = []
     try:
-        kind = faults.inject("worker.run")
-        if kind == "crash":
-            # A hard worker death (the injected stand-in for an OOM
-            # kill or segfault) — only meaningful inside a pool child;
-            # in the parent it would take the whole run down, which no
-            # real worker crash can do.
-            if multiprocessing.parent_process() is not None:
-                os._exit(3)
-        elif kind == "delay":
-            time.sleep(faults.delay_seconds())
-        elif kind is not None:
-            raise RuntimeError(f"injected fault: worker.run {kind}")
         with make_store(store_kind, Path(cache_dir)) as store:
             try:
                 loaded = store.load(key)
@@ -225,15 +203,11 @@ class StudyRunner:
     store: str = "json"
     jobs: int = 1
     extras: Tuple[StudyKey, ...] = field(default_factory=tuple)
-    #: In-process attempts per key on the broken-pool salvage path.
-    retries: int = 2
 
     def __post_init__(self) -> None:
         self.cache_dir = Path(self.cache_dir)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.retries < 1:
-            raise ValueError("retries must be >= 1")
         # Fail fast on an unknown backend, before any worker spawns.
         make_store(self.store, self.cache_dir).close()
 
@@ -266,12 +240,9 @@ class StudyRunner:
         ``BrokenProcessPool`` and, without handling, the completed
         studies' outcomes would be lost with it.  Completed results are
         never actually lost — workers communicate through the store —
-        so each broken key is resubmitted sequentially via
-        :func:`run_study` under the shared retry policy
-        (:data:`RESUBMIT_RETRY` backoff, :attr:`retries` attempts),
-        whose store probe reports the survivors as ``cached`` and
-        recomputes only the genuinely missing keys.  Each salvaged
-        outcome records how many attempts it took.
+        so each broken key reruns once, in-process, via
+        :func:`run_study`, whose store probe reports the survivors as
+        ``cached`` and recomputes only the genuinely missing keys.
         """
         results: Dict[StudyKey, StudyOutcome] = {}
         try:
@@ -287,24 +258,11 @@ class StudyRunner:
                         pass  # retried sequentially below
         except BrokenProcessPool:
             pass  # the pool can also break during submission or shutdown
-        policy = replace(RESUBMIT_RETRY, attempts=self.retries)
+        note = "retried sequentially after worker pool broke"
         for key, store_kind, cache_dir in args:
             if key in results:
                 continue
-            attempts = 0
-            outcome = None
-            for attempt in range(policy.attempts):
-                if attempt:
-                    time.sleep(policy.backoff(key.slug, attempt - 1))
-                attempts = attempt + 1
-                outcome = run_study(key, store_kind, cache_dir)
-                if outcome.status != "failed":
-                    break
-            assert outcome is not None
-            note = (
-                f"retried sequentially after worker pool broke "
-                f"(attempt {attempts}/{policy.attempts})"
-            )
+            outcome = run_study(key, store_kind, cache_dir)
             error = f"{outcome.error}; {note}" if outcome.error else note
-            results[key] = replace(outcome, error=error, attempts=attempts)
+            results[key] = replace(outcome, error=error)
         return tuple(results[a[0]] for a in args)

@@ -13,7 +13,7 @@ Studies flow through :class:`StudyProvider`: an in-process
 :class:`~repro.service.lru.LruCache` over hot ``(expression, box)``
 studies, reading through the configured
 :class:`~repro.figures.cache.StudyStore`.  Degradation is graceful by
-design — a cold, corrupted, or unreachable store is a miss that falls
+design — a cold, corrupted, or unreadable store is a miss that falls
 back to local computation with a log line, never a failed request.
 """
 
@@ -58,6 +58,32 @@ DEFAULT_LRU_CAPACITY = 8
 _SCALES = ("quick", "full")
 
 _MISS = object()
+
+#: Batch FLOP counts are int64 (:func:`repro.core.classify.batch_flops`).
+_INT64_MAX = 2**63 - 1
+
+
+def flops_dim_cap(algorithms: Sequence[Algorithm], n_dims: int) -> int:
+    """The largest dim whose FLOP counts all fit in int64.
+
+    Every FLOP polynomial has non-negative coefficients, so each count
+    is monotone in each dim: when no dim exceeds the cap, no count
+    exceeds its value at the all-cap instance, which fits.  Bisection
+    over exact Python-int counts.
+    """
+
+    def fits(bound: int) -> bool:
+        dims = (bound,) * n_dims
+        return all(int(a.flops(dims)) <= _INT64_MAX for a in algorithms)
+
+    lo, hi = 1, _INT64_MAX  # fits(lo) holds; fits(hi) does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class SelectionError(ValueError):
@@ -204,21 +230,15 @@ class StudyProvider:
         return study, source
 
     def stats(self) -> dict:
-        store_stats = {
-            "kind": self.store.kind if self.store is not None else None,
-            "hits": self.store_hits,
-            "misses": self.store_misses,
-            "errors": self.store_errors,
-            "computed_locally": self.computed,
-        }
-        # The remote backend carries retry/breaker counters; surface
-        # them so GET /stats shows how hard the store is degrading.
-        resilience = getattr(self.store, "resilience_stats", None)
-        if callable(resilience):
-            store_stats["resilience"] = resilience()
         return {
             "lru": self.lru.stats(),
-            "store": store_stats,
+            "store": {
+                "kind": self.store.kind if self.store is not None else None,
+                "hits": self.store_hits,
+                "misses": self.store_misses,
+                "errors": self.store_errors,
+                "computed_locally": self.computed,
+            },
         }
 
 
@@ -266,6 +286,7 @@ class SelectionEngine:
         )
         self._expressions: Dict[str, Expression] = {}
         self._algorithms: Dict[str, Tuple[Algorithm, ...]] = {}
+        self._dim_caps: Dict[str, int] = {}
         self.selections_served = 0
 
     # ------------------------------------------------------------------
@@ -282,13 +303,22 @@ class SelectionEngine:
                     f"unknown expression {name!r}; {expression_name_help()}"
                 )
             expression = get_expression(name)
+            algorithms = expression.algorithms()
             self._expressions[name] = expression
-            self._algorithms[name] = expression.algorithms()
+            self._algorithms[name] = algorithms
+            self._dim_caps[name] = flops_dim_cap(
+                algorithms, expression.n_dims
+            )
         return expression
 
     def algorithms_for(self, name: str) -> Tuple[Algorithm, ...]:
         self.expression_for(name)
         return self._algorithms[name]
+
+    def dim_cap_for(self, name: str) -> int:
+        """The largest dim a request for ``name`` may carry."""
+        self.expression_for(name)
+        return self._dim_caps[name]
 
     def discriminant_for(self, name: Optional[str]) -> Tuple[str, Discriminant]:
         key = name or self.default_discriminant
@@ -301,7 +331,7 @@ class SelectionEngine:
         return key, discriminant
 
     def _validated_dims(
-        self, expression: Expression, dims: Sequence[int]
+        self, expression: Expression, dims: Sequence[int], cap: int
     ) -> Tuple[int, ...]:
         if not isinstance(dims, (list, tuple)):
             raise SelectionError(
@@ -320,6 +350,11 @@ class SelectionEngine:
             ) from None
         if any(v < 1 for v in values):
             raise SelectionError(f"dims must be positive, got {values}")
+        if any(v > cap for v in values):
+            raise SelectionError(
+                f"{expression.name} dims must be at most {cap} (larger "
+                f"dims overflow int64 FLOP counts), got {values}"
+            )
         return values
 
     # ------------------------------------------------------------------
@@ -337,8 +372,9 @@ class SelectionEngine:
         expression = self.expression_for(expression_name)
         algorithms = self.algorithms_for(expression_name)
         disc_name, disc = self.discriminant_for(discriminant)
+        cap = self._dim_caps[expression_name]
         instances = [
-            self._validated_dims(expression, dims) for dims in dims_list
+            self._validated_dims(expression, dims, cap) for dims in dims_list
         ]
         if not instances:
             return []

@@ -27,7 +27,7 @@ def _save(store, study, key=KEY):
     )
 
 
-@pytest.mark.parametrize("kind", cache.LOCAL_STORE_KINDS)
+@pytest.mark.parametrize("kind", cache.STORE_KINDS)
 def test_payload_round_trip_is_exact(tmp_path, computed_study, kind):
     study = computed_study
     with cache.make_store(kind, tmp_path) as store:
@@ -42,7 +42,7 @@ def test_payload_round_trip_is_exact(tmp_path, computed_study, kind):
     assert loaded["confusion"] == study.confusion
 
 
-@pytest.mark.parametrize("kind", cache.LOCAL_STORE_KINDS)
+@pytest.mark.parametrize("kind", cache.STORE_KINDS)
 def test_study_for_uses_disk_store_across_process_caches(
     tmp_path, computed_study, monkeypatch, kind
 ):
@@ -136,6 +136,19 @@ def test_env_knobs_control_disk_layer(monkeypatch):
         cache.store_from_env()
     with pytest.raises(ValueError, match="unknown store kind"):
         cache.make_store("mongodb", "/tmp/somewhere")
+
+
+def test_make_store_rejects_unknown_kind(tmp_path, monkeypatch):
+    # The retired network store is an unknown kind like any other,
+    # through the factory and through REPRO_CACHE_STORE alike.
+    for kind in ("remote", "postgres"):
+        with pytest.raises(ValueError) as excinfo:
+            cache.make_store(kind, tmp_path)
+        assert "json/sqlite" in str(excinfo.value)
+    monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.setenv(cache.CACHE_STORE_ENV, "remote")
+    with pytest.raises(ValueError, match="json/sqlite"):
+        cache.store_from_env()
 
 
 def test_box_knob_is_part_of_config_and_key():

@@ -6,14 +6,18 @@ the pipeline is deterministic per key, and workers communicate only
 through the store.
 """
 
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
 
 from repro.figures.cache import (
+    STORE_KINDS,
     JsonDirectoryStore,
     SqliteStudyStore,
     StudyKey,
+    make_store,
 )
 from repro.runner import StudyRunner, study_matrix
 from repro.runner.__main__ import main as runner_main
@@ -190,6 +194,15 @@ def test_cli_rejects_unknown_store_upfront(tmp_path, capsys):
     assert "json/sqlite" in err  # the error teaches the valid kinds
 
 
+def test_cli_rejects_the_retired_remote_store(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        runner_main(["--store", "remote", "--cache-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown store 'remote'" in err
+    assert "json/sqlite" in err
+
+
 def test_cli_store_names_are_case_insensitive(tmp_path, capsys):
     assert (
         runner_main(
@@ -348,6 +361,49 @@ def test_run_study_surfaces_a_raising_store_load(tmp_path, monkeypatch):
     assert JsonDirectoryStore(tmp_path).load(MATRIX[0]) is not None
 
 
+def _write_raw_entry(store_kind, root, key, text):
+    """Overwrite one stored payload with ``text``, bypassing the codec."""
+    if store_kind == "json":
+        JsonDirectoryStore(root).path_for(key).write_text(text)
+        return
+    with SqliteStudyStore(root) as store:
+        with store._connect() as conn:
+            conn.execute(
+                "UPDATE studies SET payload = ? WHERE skey = ?",
+                (text, key.slug),
+            )
+
+
+def _raw_entry(store_kind, root, key):
+    with make_store(store_kind, root) as store:
+        return store.raw_payload(key)
+
+
+@pytest.mark.parametrize("damage", ["corrupt", "truncated"])
+@pytest.mark.parametrize("store_kind", STORE_KINDS)
+def test_damaged_store_entry_heals_to_baseline_bytes(
+    tmp_path, store_kind, damage
+):
+    # A damaged entry written straight into the store is a miss: the
+    # next run_study recomputes and overwrites it with the canonical
+    # bytes, and the run after that is a plain cache hit.
+    key = MATRIX[0]
+    assert run_study(key, store_kind, str(tmp_path)).status == "computed"
+    baseline = _raw_entry(store_kind, tmp_path, key)
+    damaged = (
+        baseline.replace('"', "'", 3)
+        if damage == "corrupt"
+        else baseline[: len(baseline) // 2]
+    )
+    _write_raw_entry(store_kind, tmp_path, key, damaged)
+    assert _raw_entry(store_kind, tmp_path, key) == damaged
+    outcome = run_study(key, store_kind, str(tmp_path))
+    assert outcome.status == "computed"
+    assert outcome.error == ""
+    assert _raw_entry(store_kind, tmp_path, key) == baseline
+    assert run_study(key, store_kind, str(tmp_path)).status == "cached"
+
+
 def test_runner_salvages_a_broken_process_pool(tmp_path, monkeypatch):
     # When a worker dies the pool poisons every pending future with
     # BrokenProcessPool.  The runner must keep the studies that
@@ -401,107 +457,111 @@ def test_runner_salvages_a_broken_process_pool(tmp_path, monkeypatch):
         assert store.load(key) is not None
 
 
-def test_salvage_retries_failed_keys_and_records_attempts(
-    tmp_path, monkeypatch
-):
-    # First in-process attempt of the salvage path fails (injected
-    # worker.run error); the retry policy gives the key a second
-    # attempt, which succeeds, and the outcome records both.
-    from concurrent.futures.process import BrokenProcessPool
+class ExplodingPool:
+    """A process pool that breaks before running anything."""
 
-    from repro.resilience import FaultPlan, faults
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        raise BrokenProcessPool("fork failed")
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_salvage_reruns_each_missing_key_once(tmp_path, monkeypatch):
+    # run_study is deterministic and contains its own exceptions, so
+    # the salvage path reruns each key exactly once, in-process.
     from repro.runner import runner as runner_module
 
-    class ExplodingPool:
-        def __init__(self, max_workers=None):
-            pass
+    calls = []
+    real_run_study = runner_module.run_study
 
-        def __enter__(self):
-            raise BrokenProcessPool("fork failed")
-
-        def __exit__(self, *exc):
-            return False
+    def counting_run_study(key, store_kind, cache_dir):
+        calls.append(key)
+        return real_run_study(key, store_kind, cache_dir)
 
     monkeypatch.setattr(runner_module, "ProcessPoolExecutor", ExplodingPool)
-    faults.set_plan(FaultPlan.parse("seed=1;worker.run=error:1"))
-    try:
-        report = StudyRunner(
-            cache_dir=tmp_path, store="json", jobs=2, retries=2
-        ).run(MATRIX[:2])
-    finally:
-        faults.set_plan(None)
+    monkeypatch.setattr(runner_module, "run_study", counting_run_study)
+    report = StudyRunner(cache_dir=tmp_path, store="json", jobs=2).run(
+        MATRIX[:2]
+    )
     assert report.ok
-    first, second = report.outcomes
-    assert first.status == "computed" and first.attempts == 2
-    assert "attempt 2/2" in first.error
-    assert second.status == "computed" and second.attempts == 1
-    assert "attempt 1/2" in second.error
+    assert calls == list(MATRIX[:2])
+    for outcome in report.outcomes:
+        assert outcome.status == "computed"
+        assert outcome.error == "retried sequentially after worker pool broke"
 
 
-def test_salvage_exhausting_retries_reports_the_failure(
-    tmp_path, monkeypatch
-):
-    from concurrent.futures.process import BrokenProcessPool
-
-    from repro.resilience import FaultPlan, faults
+def test_salvage_reports_a_key_whose_rerun_fails(tmp_path, monkeypatch):
     from repro.runner import runner as runner_module
 
-    class ExplodingPool:
-        def __init__(self, max_workers=None):
-            pass
+    real_compute = runner_module.compute_study_results
 
-        def __enter__(self):
-            raise BrokenProcessPool("fork failed")
-
-        def __exit__(self, *exc):
-            return False
+    def compute(config, expression):
+        if config.seed == MATRIX[0].seed:
+            raise RuntimeError("pipeline broke")
+        return real_compute(config, expression)
 
     monkeypatch.setattr(runner_module, "ProcessPoolExecutor", ExplodingPool)
-    # Every worker.run attempt fails: both retries burn, the key fails.
-    faults.set_plan(FaultPlan.parse("seed=2;worker.run=error:*"))
-    try:
-        report = StudyRunner(
-            cache_dir=tmp_path, store="json", jobs=2, retries=2
-        ).run(MATRIX[:2])
-    finally:
-        faults.set_plan(None)
+    monkeypatch.setattr(runner_module, "compute_study_results", compute)
+    report = StudyRunner(cache_dir=tmp_path, store="json", jobs=2).run(
+        MATRIX[:2]
+    )
     assert not report.ok
-    for outcome in report.outcomes:
-        assert outcome.status == "failed"
-        assert outcome.attempts == 2
-        assert "injected fault: worker.run error" in outcome.error
-        assert "attempt 2/2" in outcome.error
+    failed, computed = report.outcomes
+    assert failed.status == "failed"
+    assert "RuntimeError: pipeline broke" in failed.error
+    assert "retried sequentially after worker pool broke" in failed.error
+    assert computed.status == "computed"
 
 
-def test_runner_rejects_non_positive_retries(tmp_path):
-    with pytest.raises(ValueError):
-        StudyRunner(cache_dir=tmp_path, retries=0)
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched worker body reaches pool children only via fork",
+)
+def test_real_worker_death_salvages_every_key_byte_identically(
+    tmp_path, monkeypatch
+):
+    # One pool child dies outright (the stand-in for an OOM kill or a
+    # segfault), which breaks the whole pool.  Every key must still
+    # land in the store, byte-identical to a sequential run.
+    from repro.runner import runner as runner_module
 
+    real_run_study = runner_module.run_study
+    doomed = MATRIX[1]
 
-@pytest.mark.parametrize("raw", ["0", "-1", "two"])
-def test_cli_rejects_non_positive_retries(tmp_path, capsys, raw):
-    with pytest.raises(SystemExit) as excinfo:
-        runner_main(["--retries", raw, "--cache-dir", str(tmp_path)])
-    assert excinfo.value.code == 2
-    assert "--retries" in capsys.readouterr().err
+    def dying_run_study(key, store_kind, cache_dir):
+        if key == doomed and multiprocessing.parent_process() is not None:
+            os._exit(3)
+        return real_run_study(key, store_kind, cache_dir)
+
+    monkeypatch.setattr(runner_module, "run_study", dying_run_study)
+    keys = MATRIX[:2]
+    report = StudyRunner(
+        cache_dir=tmp_path / "crashed", store="json", jobs=2
+    ).run(keys)
+    monkeypatch.undo()
+    assert report.ok
+    salvaged = {o.key for o in report.outcomes if "pool broke" in o.error}
+    assert doomed in salvaged
+    StudyRunner(cache_dir=tmp_path / "plain", store="json", jobs=1).run(keys)
+    crashed = JsonDirectoryStore(tmp_path / "crashed")
+    plain = JsonDirectoryStore(tmp_path / "plain")
+    for key in keys:
+        assert (
+            crashed.path_for(key).read_bytes()
+            == plain.path_for(key).read_bytes()
+        )
 
 
 def test_runner_survives_pool_breaking_at_construction(tmp_path, monkeypatch):
     # BrokenProcessPool out of the pool itself (not a future) — e.g.
     # during submission — must also degrade to a sequential run.
-    from concurrent.futures.process import BrokenProcessPool
-
     from repro.runner import runner as runner_module
-
-    class ExplodingPool:
-        def __init__(self, max_workers=None):
-            pass
-
-        def __enter__(self):
-            raise BrokenProcessPool("fork failed")
-
-        def __exit__(self, *exc):
-            return False
 
     monkeypatch.setattr(runner_module, "ProcessPoolExecutor", ExplodingPool)
     report = StudyRunner(cache_dir=tmp_path, store="json", jobs=2).run(

@@ -3,7 +3,7 @@
 The load-bearing promises: batched selection is index-identical to
 per-request selection, the LRU is capacity-bounded with honest
 counters, and the service keeps answering when its study store is
-cold, corrupt, or unreachable.
+cold, corrupt, or unreadable.
 """
 
 import asyncio
@@ -173,6 +173,24 @@ def test_engine_survives_a_broken_store():
     assert stats["store"]["errors"] >= 2  # the load and the write-back
     # Selection itself never degrades with the store.
     assert engine.select("aatb", [1, 2, 3]).study_source == "lru"
+
+
+def test_engine_over_a_corrupted_store_computes_and_picks_identically(
+    tmp_path, engine
+):
+    store = JsonDirectoryStore(tmp_path)
+    key = StudyKey("quick", 0, "aatb")
+    store.path_for(key).parent.mkdir(parents=True, exist_ok=True)
+    store.path_for(key).write_text("{corrupted")
+    damaged = SelectionEngine(scale="quick", seed=0, store=store)
+    got = damaged.select_many("aatb", DIMS[:3])
+    assert {s.study_source for s in got} == {"computed"}
+    assert damaged.stats()["store"]["misses"] == 1
+    assert [s.algorithm_index for s in got] == [
+        s.algorithm_index for s in engine.select_many("aatb", DIMS[:3])
+    ]
+    # The write-back healed the entry.
+    assert store.load(key) is not None
 
 
 def test_engine_warm_preloads_the_lru(tmp_path):
@@ -415,6 +433,31 @@ def test_http_keep_alive_serves_multiple_requests(engine):
     assert asyncio.run(run()) == [200, 200]
 
 
+def test_http_overflowing_dims_are_a_400_naming_the_cap(engine):
+    # Algorithm 0's 1.8e19 FLOPs at these dims used to wrap past 2**63
+    # in the int64 batch and win the min-FLOP pick over the true
+    # argmin (index 2).
+    async def run():
+        service = SelectionService(engine, port=0)
+        await service.start()
+        result = await _request(
+            service.port,
+            "POST",
+            "/select",
+            {
+                "expression": "chain4",
+                "dims": [3000000, 1000000, 2, 1000000, 3000000],
+                "discriminant": "min-flops",
+            },
+        )
+        await service.stop()
+        return result
+
+    status, payload = asyncio.run(run())
+    assert status == 400
+    assert f"at most {engine.dim_cap_for('chain4')}" in payload["error"]
+
+
 def test_http_stats_carries_a_resilience_section(engine):
     async def run():
         service = SelectionService(
@@ -433,7 +476,14 @@ def test_http_stats_carries_a_resilience_section(engine):
     assert resilience["draining"] is False
     assert resilience["shed"] == 0
     assert resilience["deadline_exceeded"] == 0
-    assert resilience["faults"] == {}  # no active fault plan
+    assert set(resilience) == {
+        "deadline_seconds",
+        "max_inflight",
+        "inflight",
+        "draining",
+        "shed",
+        "deadline_exceeded",
+    }
 
 
 def test_http_stats_schema_end_to_end(engine):
@@ -441,8 +491,7 @@ def test_http_stats_schema_end_to_end(engine):
 
     The response is the service's observability contract: the
     codegen, scheduler, resilience and ablation sections must all be
-    present with the right shapes — a dashboard (or the chaos drill)
-    reading one of these keys must never KeyError after a refactor.
+    present with the right shapes — a dashboard reading one of these keys must never KeyError after a refactor.
     """
 
     async def run():
@@ -492,25 +541,6 @@ def test_http_stats_schema_end_to_end(engine):
     assert isinstance(stats["lru"]["capacity"], int)
     assert "kind" in stats["store"]
     assert isinstance(stats["requests"]["errors"], int)
-
-
-def test_engine_stats_surface_store_resilience_counters():
-    class ResilientStore:
-        kind = "remote"
-
-        def load(self, key):
-            return None
-
-        def save(self, key, *results):
-            pass
-
-        def resilience_stats(self):
-            return {"retries": 3, "breaker": {"state": "closed"}}
-
-    engine = SelectionEngine(scale="quick", seed=0, store=ResilientStore())
-    store_stats = engine.stats()["store"]
-    assert store_stats["resilience"]["retries"] == 3
-    assert store_stats["resilience"]["breaker"]["state"] == "closed"
 
 
 def test_http_deadline_overrun_answers_503(engine):
@@ -618,6 +648,49 @@ def test_http_drain_stops_accepting_and_reports_final_stats(engine):
     assert final["resilience"]["inflight"] == 0
     assert final["requests"]["select"] == 1
     assert refused
+
+
+def test_http_drain_answers_an_inflight_request(engine):
+    # A request still in flight when the drain starts gets its full
+    # 200 answer; only then does the drain report final stats.
+    async def run():
+        service = SelectionService(engine, port=0)
+        await service.start()
+        port = service.port
+
+        async def slow(*args, **kwargs):
+            await asyncio.sleep(0.3)
+            return engine.select("aatb", [100, 200, 300])
+
+        service.batcher.select = slow
+        inflight = asyncio.create_task(
+            _request(
+                port,
+                "POST",
+                "/select",
+                {"expression": "aatb", "dims": [100, 200, 300]},
+            )
+        )
+        await asyncio.sleep(0.1)
+        assert service.stats()["resilience"]["inflight"] == 1
+        final = await service.drain()
+        status, payload = await inflight
+        refused = False
+        try:
+            await asyncio.open_connection("127.0.0.1", port)
+        except OSError:
+            refused = True
+        return status, payload, final, refused
+
+    status, payload, final, refused = asyncio.run(run())
+    assert status == 200
+    assert payload["algorithm"]["index"] == (
+        engine.select("aatb", [100, 200, 300]).algorithm_index
+    )
+    assert final["resilience"]["draining"] is True
+    assert final["resilience"]["inflight"] == 0
+    assert final["requests"]["select"] == 1
+    assert refused  # the listener closed before the wait, not after
 
 
 def test_service_validates_overload_configuration(engine):
