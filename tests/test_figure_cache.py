@@ -139,8 +139,8 @@ def test_env_knobs_control_disk_layer(monkeypatch):
 
 
 def test_make_store_rejects_unknown_kind(tmp_path, monkeypatch):
-    # The retired network store is an unknown kind like any other,
-    # through the factory and through REPRO_CACHE_STORE alike.
+    # Only the two local kinds exist, through the factory and through
+    # REPRO_CACHE_STORE alike.
     for kind in ("remote", "postgres"):
         with pytest.raises(ValueError) as excinfo:
             cache.make_store(kind, tmp_path)

@@ -194,7 +194,7 @@ def test_cli_rejects_unknown_store_upfront(tmp_path, capsys):
     assert "json/sqlite" in err  # the error teaches the valid kinds
 
 
-def test_cli_rejects_the_retired_remote_store(tmp_path, capsys):
+def test_cli_store_remote_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         runner_main(["--store", "remote", "--cache-dir", str(tmp_path)])
     assert excinfo.value.code == 2
