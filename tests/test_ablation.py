@@ -332,6 +332,15 @@ def test_cli_rejects_unknown_expression(tmp_path, capsys):
     assert "unknown expression" in capsys.readouterr().err
 
 
+def test_cli_store_remote_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        ablation_main(["--store", "remote", "--cache-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown store 'remote'" in err
+    assert "json/sqlite" in err
+
+
 def test_cli_requires_a_cache_dir(monkeypatch, capsys):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     assert ablation_main(["--components", "no-noise"]) == 2

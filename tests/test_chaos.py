@@ -1,35 +1,35 @@
-"""Chaos suite: injected faults must never change the answers.
+"""Chaos suite: damage along the way must never change the answers.
 
 The infrastructure analogue of the paper's ablation studies: perturb
-the system with seeded :class:`~repro.resilience.FaultPlan` schedules
-— connection resets, torn frames, corrupted payloads, delays, worker
-crashes — and assert that study payloads stay **byte-identical** and
-selections **index-identical** to the fault-free run, while the
-resilience layer (retries, circuit breaker, graceful drain) absorbs
-the damage.
+the system — corrupted and torn store entries, raising store calls,
+slow requests, a dying pool worker — and assert that study payloads
+stay **byte-identical** and selections **index-identical** to the
+undamaged run.
 
-Every plan here is deterministic: the same seed against the same
-workload injects the same faults, so a failure replays exactly.
+All damage is injected from the test side (monkeypatched store
+primitives, a wrapped batcher, a worker body that exits), so the
+production code carries no injection seam.  Every plan is
+deterministic: the same seed against the same workload damages the
+same calls the same way, so a failure replays exactly.
 """
 
 import asyncio
 import json
-import threading
+import multiprocessing
+import os
+import random
 import time
 
 import pytest
 
-from repro.figures.cache import JsonDirectoryStore, StudyKey, make_store
-from repro.resilience import (
-    CircuitBreaker,
-    FAULTS_ENV,
-    FaultPlan,
-    RetryPolicy,
-    faults,
+from repro.figures.cache import (
+    JsonDirectoryStore,
+    SqliteStudyStore,
+    StudyKey,
+    make_store,
 )
 from repro.runner.runner import StudyRunner, run_study
 from repro.service import SelectionEngine, SelectionService
-from repro.service.remote import RemoteStudyStore, StudyStoreServer
 
 KEY = StudyKey(scale="quick", seed=0, expression="aatb", box="paper_box")
 MATRIX = (
@@ -39,57 +39,79 @@ MATRIX = (
 DIMS = [[100, 200, 300], [50, 60, 70], [1200, 1200, 1200]]
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_faults(monkeypatch):
-    monkeypatch.delenv(FAULTS_ENV, raising=False)
-    faults.set_plan(None)
-    yield
-    faults.set_plan(None)
+class StorePlan:
+    """A seeded damage schedule for a store backend's text primitives.
+
+    Specs read ``seed=N;delay=S;store.<op>=<kind>[:<times>]``: ``op``
+    is ``load`` or ``save``, ``kind`` one of ``corrupt`` (a NUL byte
+    at a seeded position, which no JSON parser accepts), ``torn``
+    (the first half of the text), ``delay`` (sleep ``S`` seconds) or
+    ``error`` (raise ``OSError``), and ``times`` a count or ``*`` for
+    every call.  Calls past the count pass through untouched.
+    """
+
+    def __init__(self, spec):
+        self.rng = random.Random(0)
+        self.delay = 0.0
+        self.rules = {}
+        for clause in spec.split(";"):
+            name, _, value = clause.partition("=")
+            if name == "seed":
+                self.rng = random.Random(int(value))
+            elif name == "delay":
+                self.delay = float(value)
+            else:
+                kind, _, times = value.partition(":")
+                count = None if times == "*" else int(times or 1)
+                self.rules[name.removeprefix("store.")] = [kind, count]
+
+    def next_kind(self, op):
+        rule = self.rules.get(op)
+        if rule is None or rule[1] == 0:
+            return None
+        if rule[1] is not None:
+            rule[1] -= 1
+        return rule[0]
+
+    def damage(self, kind, text):
+        if kind == "delay":
+            time.sleep(self.delay)
+        elif kind == "error":
+            raise OSError(f"chaos: store {kind}")
+        elif text is not None and kind == "corrupt":
+            at = self.rng.randrange(len(text) + 1)
+            return text[:at] + "\x00" + text[at:]
+        elif text is not None and kind == "torn":
+            return text[: len(text) // 2]
+        return text
+
+    def install(self, monkeypatch, store_class):
+        real_load, real_save = store_class.load_text, store_class.save_text
+
+        def load_text(store, key):
+            kind = self.next_kind("load")
+            if kind == "error":
+                self.damage(kind, None)
+            return self.damage(kind, real_load(store, key))
+
+        def save_text(store, key, text):
+            real_save(store, key, self.damage(self.next_kind("save"), text))
+
+        monkeypatch.setattr(store_class, "load_text", load_text)
+        monkeypatch.setattr(store_class, "save_text", save_text)
+
+
+def _raw_entry(kind, root, key):
+    with make_store(kind, root) as store:
+        return store.raw_payload(key)
 
 
 @pytest.fixture(scope="module")
 def baseline_bytes(tmp_path_factory):
-    """The fault-free canonical payload bytes for KEY."""
+    """The undamaged canonical payload bytes for KEY."""
     root = tmp_path_factory.mktemp("baseline")
-    faults.set_plan(None)
     assert run_study(KEY, "json", str(root)).status == "computed"
     return JsonDirectoryStore(root).path_for(KEY).read_bytes()
-
-
-@pytest.fixture()
-def served_store(tmp_path):
-    """A StudyStoreServer over a json backing, on a live thread."""
-    backing = make_store("json", tmp_path / "backing")
-    loop = asyncio.new_event_loop()
-    server = StudyStoreServer(backing)
-    ready = threading.Event()
-
-    def run():
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(server.start())
-        ready.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(5)
-    yield server, backing
-    asyncio.run_coroutine_threadsafe(server.stop(), loop).result(5)
-    asyncio.run_coroutine_threadsafe(asyncio.sleep(0.05), loop).result(5)
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(5)
-    loop.close()
-
-
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def now(self):
-        return self.t
-
-    def advance(self, seconds):
-        self.t += seconds
 
 
 async def _http(port, method, path, body=None):
@@ -115,9 +137,9 @@ async def _http(port, method, path, body=None):
 # Store chaos: payloads heal byte-identically
 # ----------------------------------------------------------------------
 
-#: Three distinct seeded plans over the local-store fault sites; each
-#: damages loads and/or saves differently, and the store must end up
-#: byte-identical to the fault-free baseline every time.
+#: Three distinct seeded plans; each damages loads and/or saves
+#: differently, and the store must end up byte-identical to the
+#: undamaged baseline every time.
 STORE_PLANS = (
     "seed=1;store.load=corrupt:2",
     "seed=2;store.save=corrupt:1;store.load=torn:1",
@@ -125,122 +147,92 @@ STORE_PLANS = (
 )
 
 
-@pytest.mark.parametrize("spec", STORE_PLANS)
-def test_store_chaos_heals_byte_identically(tmp_path, spec, baseline_bytes):
-    faults.set_plan(FaultPlan.parse(spec))
-    outcomes = [run_study(KEY, "json", str(tmp_path)) for _ in range(4)]
-    faults.set_plan(None)
-    # No study failed, whatever the plan broke along the way...
-    assert all(o.status in ("computed", "cached") for o in outcomes)
+def _heal_under(monkeypatch, tmp_path, spec, kind, store_class):
+    StorePlan(spec).install(monkeypatch, store_class)
+    outcomes = [run_study(KEY, kind, str(tmp_path)) for _ in range(4)]
+    monkeypatch.undo()
+    # No study failed, whatever the plan broke along the way: the
+    # damaged entry cost exactly one recompute...
+    assert [o.status for o in outcomes] == [
+        "computed",
+        "computed",
+        "cached",
+        "cached",
+    ]
     # ...and once the plan is exhausted the stored payload is exactly
-    # the fault-free one: corrupted entries became misses, recomputes
+    # the undamaged one: damaged entries became misses, recomputes
     # overwrote them with canonical bytes.
+    assert run_study(KEY, kind, str(tmp_path)).status == "cached"
+    return _raw_entry(kind, tmp_path, KEY)
+
+
+@pytest.mark.parametrize("spec", STORE_PLANS)
+def test_store_chaos_heals_byte_identically(
+    tmp_path, monkeypatch, spec, baseline_bytes
+):
+    healed = _heal_under(
+        monkeypatch, tmp_path, spec, "json", JsonDirectoryStore
+    )
+    assert healed.encode() == baseline_bytes
     path = JsonDirectoryStore(tmp_path).path_for(KEY)
     assert path.read_bytes() == baseline_bytes
-    assert run_study(KEY, "json", str(tmp_path)).status == "cached"
 
 
-def test_corrupt_load_is_a_miss_not_a_failure(tmp_path, baseline_bytes):
+@pytest.mark.parametrize("spec", STORE_PLANS)
+def test_sqlite_store_chaos_heals_byte_identically(
+    tmp_path, monkeypatch, spec, baseline_bytes
+):
+    healed = _heal_under(
+        monkeypatch, tmp_path, spec, "sqlite", SqliteStudyStore
+    )
+    assert healed.encode() == baseline_bytes
+
+
+def test_corrupt_load_is_a_miss_not_a_failure(
+    tmp_path, monkeypatch, baseline_bytes
+):
     assert run_study(KEY, "json", str(tmp_path)).status == "computed"
-    faults.set_plan(FaultPlan.parse("seed=4;store.load=corrupt:1"))
+    StorePlan("seed=4;store.load=corrupt:1").install(
+        monkeypatch, JsonDirectoryStore
+    )
     outcome = run_study(KEY, "json", str(tmp_path))
-    faults.set_plan(None)
-    # The entry on disk was fine; the injected corruption made the
-    # load a miss, so the study recomputed instead of failing.
+    monkeypatch.undo()
+    # The entry on disk was fine; the corrupted read made the load a
+    # miss, so the study recomputed instead of failing.
     assert outcome.status == "computed"
+    assert outcome.error == ""
     path = JsonDirectoryStore(tmp_path).path_for(KEY)
     assert path.read_bytes() == baseline_bytes
 
 
-def test_raising_store_load_surfaces_a_note(tmp_path):
+def test_raising_store_load_surfaces_a_note(tmp_path, monkeypatch):
     assert run_study(KEY, "json", str(tmp_path)).status == "computed"
-    faults.set_plan(FaultPlan.parse("seed=5;store.load=error:1"))
+    StorePlan("seed=5;store.load=error:1").install(
+        monkeypatch, JsonDirectoryStore
+    )
     outcome = run_study(KEY, "json", str(tmp_path))
-    faults.set_plan(None)
+    monkeypatch.undo()
     assert outcome.status == "computed"
     assert "store load failed, recomputed" in outcome.error
 
 
-# ----------------------------------------------------------------------
-# Remote-store chaos: the wire under fire
-# ----------------------------------------------------------------------
-
-#: Three distinct seeded plans over the transport fault sites; the
-#: client's retry policy must absorb each, and the payload that lands
-#: on the server must match the fault-free bytes.
-WIRE_PLANS = (
-    "seed=11;remote.send=reset:2",
-    "seed=12;remote.send=torn:1;remote.recv=reset:1",
-    "seed=13;delay=0.001;server.respond=torn:1;remote.send=delay:2",
-)
-
-
-@pytest.mark.parametrize("spec", WIRE_PLANS)
-def test_wire_chaos_payloads_stay_byte_identical(
-    served_store, spec, baseline_bytes
+def test_raising_store_save_surfaces_a_note(
+    tmp_path, monkeypatch, baseline_bytes
 ):
-    server, backing = served_store
-    address = f"127.0.0.1:{server.port}"
-    faults.set_plan(FaultPlan.parse(spec))
-    outcome = run_study(KEY, "remote", address)
-    faults.set_plan(None)
+    StorePlan("seed=6;store.save=error:1").install(
+        monkeypatch, JsonDirectoryStore
+    )
+    outcome = run_study(KEY, "json", str(tmp_path))
+    # The study is computed and usable; it just was not persisted.
     assert outcome.status == "computed"
-    # The payload that crossed the damaged wire is byte-identical to
-    # the fault-free local one.
-    assert backing.raw_payload(KEY) == baseline_bytes.decode()
-    assert run_study(KEY, "remote", address).status == "cached"
-
-
-def test_wire_chaos_counts_retries(served_store):
-    server, _backing = served_store
-    client = RemoteStudyStore(
-        f"127.0.0.1:{server.port}",
-        retry=RetryPolicy(attempts=3, base_delay=0.001, jitter=0.0),
-    )
-    faults.set_plan(FaultPlan.parse("seed=14;remote.send=reset:2"))
-    try:
-        assert client.ping()  # two resets absorbed by two retries
-    finally:
-        faults.set_plan(None)
-        client.close()
-    stats = client.resilience_stats()
-    assert stats["retries"] == 2
-    assert stats["transport_failures"] == 0
-    assert stats["breaker"]["state"] == "closed"
-
-
-def test_breaker_opens_then_recovers_via_half_open_probe(served_store):
-    server, _backing = served_store
-    clock = FakeClock()
-    store = RemoteStudyStore(
-        "127.0.0.1:1",  # nothing listens here
-        timeout=0.5,
-        retry=RetryPolicy(attempts=1, base_delay=0.0, jitter=0.0),
-        breaker=CircuitBreaker(
-            failure_threshold=2, recovery_seconds=30.0, clock=clock.now
-        ),
-    )
-    try:
-        assert store.load_text(KEY) is None
-        assert store.load_text(KEY) is None
-        assert store.breaker.state == "open"
-        # While open, calls short-circuit: no new transport attempts.
-        failures = store.transport_failures
-        assert store.ping() is False
-        assert store.transport_failures == failures
-        assert store.breaker.short_circuited >= 1
-        # The server "comes back" and the recovery window elapses: the
-        # half-open probe succeeds and closes the circuit.
-        store.host, store.port = "127.0.0.1", server.port
-        clock.advance(30.0)
-        assert store.ping()
-        assert store.breaker.state == "closed"
-        assert store.breaker.stats()["transitions"][-2:] == [
-            "half-open",
-            "closed",
-        ]
-    finally:
-        store.close()
+    assert "store save failed (OSError" in outcome.error
+    assert _raw_entry("json", tmp_path, KEY) is None
+    # The plan is spent: the next run persists the canonical bytes.
+    assert run_study(KEY, "json", str(tmp_path)).error == ""
+    monkeypatch.undo()
+    path = JsonDirectoryStore(tmp_path).path_for(KEY)
+    assert path.read_bytes() == baseline_bytes
+    assert run_study(KEY, "json", str(tmp_path)).status == "cached"
 
 
 # ----------------------------------------------------------------------
@@ -248,35 +240,45 @@ def test_breaker_opens_then_recovers_via_half_open_probe(served_store):
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched worker body reaches pool children only via fork",
+)
 def test_worker_crash_chaos_salvages_byte_identically(
     tmp_path, monkeypatch, baseline_bytes
 ):
-    # The plan reaches pool children through the environment; each
-    # child's first study dies hard (os._exit), breaking the pool.
-    # The salvage path must recompute sequentially — in the parent the
-    # crash kind is inert — and leave fault-free bytes behind.
-    monkeypatch.setenv(FAULTS_ENV, "seed=21;worker.run=crash:1")
+    # One pool child dies outright (the stand-in for an OOM kill or a
+    # segfault), which breaks the whole pool.  The salvage path must
+    # rerun the missing keys in-process and leave undamaged bytes.
+    from repro.runner import runner as runner_module
+
+    real_run_study = runner_module.run_study
+    doomed = MATRIX[1]
+
+    def dying_run_study(key, store_kind, cache_dir):
+        if key == doomed and multiprocessing.parent_process() is not None:
+            os._exit(3)
+        return real_run_study(key, store_kind, cache_dir)
+
+    monkeypatch.setattr(runner_module, "run_study", dying_run_study)
     report = StudyRunner(
-        cache_dir=tmp_path / "chaos", store="json", jobs=2
+        cache_dir=tmp_path / "crashed", store="json", jobs=2
     ).run(MATRIX)
-    monkeypatch.delenv(FAULTS_ENV)
+    monkeypatch.undo()
     assert report.ok
-    salvaged = [
-        o for o in report.outcomes if "worker pool broke" in o.error
-    ]
-    assert salvaged  # at least one key went through the salvage path
-    assert all(o.attempts >= 1 for o in report.outcomes)
-    faults.set_plan(None)
-    sequential = tmp_path / "plain"
-    StudyRunner(cache_dir=sequential, store="json", jobs=1).run(MATRIX)
-    chaos_store = JsonDirectoryStore(tmp_path / "chaos")
-    plain_store = JsonDirectoryStore(sequential)
+    salvaged = {o.key for o in report.outcomes if "pool broke" in o.error}
+    assert doomed in salvaged
+    StudyRunner(cache_dir=tmp_path / "plain", store="json", jobs=1).run(
+        MATRIX
+    )
+    crashed = JsonDirectoryStore(tmp_path / "crashed")
+    plain = JsonDirectoryStore(tmp_path / "plain")
     for key in MATRIX:
         assert (
-            chaos_store.path_for(key).read_bytes()
-            == plain_store.path_for(key).read_bytes()
+            crashed.path_for(key).read_bytes()
+            == plain.path_for(key).read_bytes()
         )
-    assert chaos_store.path_for(MATRIX[0]).read_bytes() == baseline_bytes
+    assert crashed.path_for(MATRIX[0]).read_bytes() == baseline_bytes
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +286,9 @@ def test_worker_crash_chaos_salvages_byte_identically(
 # ----------------------------------------------------------------------
 
 
-def test_selections_stay_index_identical_under_store_corruption(tmp_path):
+def test_selections_stay_index_identical_under_store_corruption(
+    tmp_path, monkeypatch
+):
     store = JsonDirectoryStore(tmp_path)
     clean = SelectionEngine(scale="quick", seed=0, store=store)
     expected = [
@@ -292,23 +296,33 @@ def test_selections_stay_index_identical_under_store_corruption(tmp_path):
     ]
     # Every store load is corrupted: the engine sees only misses and
     # must compute locally — and pick identically.
-    faults.set_plan(FaultPlan.parse("seed=31;store.load=corrupt:*"))
+    StorePlan("seed=31;store.load=corrupt:*").install(
+        monkeypatch, JsonDirectoryStore
+    )
     chaotic = SelectionEngine(scale="quick", seed=0, store=store)
-    got = [s.algorithm_index for s in chaotic.select_many("aatb", DIMS)]
-    faults.set_plan(None)
-    assert got == expected
+    got = chaotic.select_many("aatb", DIMS)
+    monkeypatch.undo()
+    assert {s.study_source for s in got} == {"computed"}
+    assert [s.algorithm_index for s in got] == expected
 
 
-def test_service_answers_identically_under_request_delays(tmp_path):
+def test_service_answers_identically_under_request_delays():
     engine = SelectionEngine(scale="quick", seed=0)
     expected = [s.algorithm_index for s in engine.select_many("aatb", DIMS)]
 
     async def run():
         service = SelectionService(engine, port=0)
         await service.start()
-        faults.set_plan(
-            FaultPlan.parse("seed=32;delay=0.02;service.request=delay:2")
-        )
+        # The first two requests stall before reaching the batcher.
+        real_select = service.batcher.select
+        stalls = [0.02, 0.02]
+
+        async def delayed(*args, **kwargs):
+            if stalls:
+                await asyncio.sleep(stalls.pop())
+            return await real_select(*args, **kwargs)
+
+        service.batcher.select = delayed
         results = await asyncio.gather(
             *(
                 _http(
@@ -320,11 +334,11 @@ def test_service_answers_identically_under_request_delays(tmp_path):
                 for dims in DIMS
             )
         )
-        faults.set_plan(None)
         await service.stop()
-        return results
+        return results, stalls
 
-    results = asyncio.run(run())
+    results, stalls = asyncio.run(run())
+    assert stalls == []  # both stalls were taken
     assert [status for status, _payload in results] == [200] * len(DIMS)
     assert [
         payload["algorithm"]["index"] for _status, payload in results
@@ -339,15 +353,19 @@ def test_service_answers_identically_under_request_delays(tmp_path):
 def test_drain_finishes_inflight_requests_with_zero_drops():
     engine = SelectionEngine(scale="quick", seed=0)
     engine.warm(["aatb"])
+    expected = engine.select("aatb", [100, 200, 300]).algorithm_index
 
     async def run():
         service = SelectionService(engine, port=0)
         await service.start()
         port = service.port
-        # An in-flight request held open by an injected delay...
-        faults.set_plan(
-            FaultPlan.parse("seed=41;delay=0.3;service.request=delay:1")
-        )
+
+        # An in-flight request held open by a slow batcher...
+        async def slow(*args, **kwargs):
+            await asyncio.sleep(0.3)
+            return engine.select("aatb", [100, 200, 300])
+
+        service.batcher.select = slow
         inflight = asyncio.create_task(
             _http(
                 port,
@@ -366,12 +384,11 @@ def test_drain_finishes_inflight_requests_with_zero_drops():
             await asyncio.open_connection("127.0.0.1", port)
         except OSError:
             refused = True
-        faults.set_plan(None)
         return status, payload, final, refused
 
     status, payload, final, refused = asyncio.run(run())
     assert status == 200
-    assert payload["algorithm"]["index"] >= 0  # a complete response
+    assert payload["algorithm"]["index"] == expected  # a complete response
     assert final["resilience"]["draining"] is True
     assert final["resilience"]["inflight"] == 0
     assert final["requests"]["select"] == 1

@@ -6,8 +6,6 @@ the pipeline is deterministic per key, and workers communicate only
 through the store.
 """
 
-import multiprocessing
-import os
 from pathlib import Path
 
 import pytest
@@ -517,45 +515,6 @@ def test_salvage_reports_a_key_whose_rerun_fails(tmp_path, monkeypatch):
     assert "RuntimeError: pipeline broke" in failed.error
     assert "retried sequentially after worker pool broke" in failed.error
     assert computed.status == "computed"
-
-
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the patched worker body reaches pool children only via fork",
-)
-def test_real_worker_death_salvages_every_key_byte_identically(
-    tmp_path, monkeypatch
-):
-    # One pool child dies outright (the stand-in for an OOM kill or a
-    # segfault), which breaks the whole pool.  Every key must still
-    # land in the store, byte-identical to a sequential run.
-    from repro.runner import runner as runner_module
-
-    real_run_study = runner_module.run_study
-    doomed = MATRIX[1]
-
-    def dying_run_study(key, store_kind, cache_dir):
-        if key == doomed and multiprocessing.parent_process() is not None:
-            os._exit(3)
-        return real_run_study(key, store_kind, cache_dir)
-
-    monkeypatch.setattr(runner_module, "run_study", dying_run_study)
-    keys = MATRIX[:2]
-    report = StudyRunner(
-        cache_dir=tmp_path / "crashed", store="json", jobs=2
-    ).run(keys)
-    monkeypatch.undo()
-    assert report.ok
-    salvaged = {o.key for o in report.outcomes if "pool broke" in o.error}
-    assert doomed in salvaged
-    StudyRunner(cache_dir=tmp_path / "plain", store="json", jobs=1).run(keys)
-    crashed = JsonDirectoryStore(tmp_path / "crashed")
-    plain = JsonDirectoryStore(tmp_path / "plain")
-    for key in keys:
-        assert (
-            crashed.path_for(key).read_bytes()
-            == plain.path_for(key).read_bytes()
-        )
 
 
 def test_runner_survives_pool_breaking_at_construction(tmp_path, monkeypatch):

@@ -49,6 +49,26 @@ def test_dims_above_the_cap_are_refused(engine, name):
         engine.select(name, dims, discriminant="min-flops")
 
 
+@pytest.mark.parametrize("name", FAMILIES)
+def test_dims_at_the_cap_pick_the_exact_argmin(engine, name):
+    # The largest accepted instances carry the largest FLOP counts the
+    # int64 batch has to hold without wrapping.
+    n_dims = engine.expression_for(name).n_dims
+    cap = engine.dim_cap_for(name)
+    batch = [
+        [cap] * n_dims,
+        [cap if i % 2 == 0 else 1 for i in range(n_dims)],
+        [1 if i % 2 == 0 else cap for i in range(n_dims)],
+    ]
+    algorithms = engine.algorithms_for(name)
+    picks = engine.select_many(
+        name, batch, discriminant="min-flops", annotate=False
+    )
+    assert [s.algorithm_index for s in picks] == [
+        exact_min_flops_index(algorithms, tuple(dims)) for dims in batch
+    ]
+
+
 @st.composite
 def accepted_batches(draw, engine):
     name = draw(st.sampled_from(FAMILIES))

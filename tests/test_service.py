@@ -491,7 +491,8 @@ def test_http_stats_schema_end_to_end(engine):
 
     The response is the service's observability contract: the
     codegen, scheduler, resilience and ablation sections must all be
-    present with the right shapes — a dashboard reading one of these keys must never KeyError after a refactor.
+    present with the right shapes — a dashboard reading one of these
+    keys must never KeyError after a refactor.
     """
 
     async def run():
@@ -650,47 +651,13 @@ def test_http_drain_stops_accepting_and_reports_final_stats(engine):
     assert refused
 
 
-def test_http_drain_answers_an_inflight_request(engine):
-    # A request still in flight when the drain starts gets its full
-    # 200 answer; only then does the drain report final stats.
-    async def run():
-        service = SelectionService(engine, port=0)
-        await service.start()
-        port = service.port
+def test_cli_store_remote_is_a_usage_error(tmp_path, capsys):
+    from repro.service.__main__ import main as service_main
 
-        async def slow(*args, **kwargs):
-            await asyncio.sleep(0.3)
-            return engine.select("aatb", [100, 200, 300])
-
-        service.batcher.select = slow
-        inflight = asyncio.create_task(
-            _request(
-                port,
-                "POST",
-                "/select",
-                {"expression": "aatb", "dims": [100, 200, 300]},
-            )
-        )
-        await asyncio.sleep(0.1)
-        assert service.stats()["resilience"]["inflight"] == 1
-        final = await service.drain()
-        status, payload = await inflight
-        refused = False
-        try:
-            await asyncio.open_connection("127.0.0.1", port)
-        except OSError:
-            refused = True
-        return status, payload, final, refused
-
-    status, payload, final, refused = asyncio.run(run())
-    assert status == 200
-    assert payload["algorithm"]["index"] == (
-        engine.select("aatb", [100, 200, 300]).algorithm_index
-    )
-    assert final["resilience"]["draining"] is True
-    assert final["resilience"]["inflight"] == 0
-    assert final["requests"]["select"] == 1
-    assert refused  # the listener closed before the wait, not after
+    with pytest.raises(SystemExit) as excinfo:
+        service_main(["--store", "remote", "--cache-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'remote'" in capsys.readouterr().err
 
 
 def test_service_validates_overload_configuration(engine):
