@@ -5,7 +5,7 @@ Two workloads, one aggregate gate:
 * **Measurement fusion** — ``MachineModel.measure_algorithm_batch``
   over every algorithm of five registered families at small
   (25-instance) batches.  The scheduler's fused path
-  (:meth:`repro.machine.machine.MachineModel._algorithm_batch_fused`)
+  (:meth:`repro.machine.machine.MachineModel._fused_batches`)
   collapses the per-kernel noise/median passes of a multi-kernel
   algorithm into one stacked pass; ``REPRO_NO_SCHEDULER=1`` is the
   literal legacy per-call loop.  Results are bit-equal by construction

@@ -3,7 +3,9 @@
 Stands up a :class:`repro.service.SelectionService` in-process, drives
 it with N concurrent keep-alive HTTP clients issuing ``POST /select``
 requests over a seeded random dims stream, and reports throughput
-(selections/sec) plus p50/p99 request latency.  Micro-batching is what
+(selections/sec) plus p50/p99 request latency.  Client ``i`` asks for
+discriminant ``i mod 3`` of (hybrid, profiled-time, benchmark-sum), so
+every model-based discriminant carries load.  Micro-batching is what
 the load probes: concurrent requests coalesce into shared
 ``select_batch`` calls, so sustained rate under concurrency is several
 times the sequential per-request rate.
@@ -37,7 +39,6 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.service import SelectionEngine, SelectionService
-from repro.service.engine import Selection
 
 DEFAULT_CLIENTS = 8
 DEFAULT_REQUESTS_PER_CLIENT = 250
@@ -46,6 +47,9 @@ DEFAULT_GATE_P99_MS = 50.0
 DEFAULT_MIN_RATE = 1000.0
 
 _DIMS_LO, _DIMS_HI = 10, 1400
+
+#: Client ``i`` sends ``LOAD_DISCRIMINANTS[i % 3]``.
+LOAD_DISCRIMINANTS = ("hybrid", "profiled-time", "benchmark-sum")
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -69,6 +73,7 @@ def dims_stream(
 async def _client(
     port: int,
     expression: str,
+    discriminant: str,
     dims_list: Sequence[Sequence[int]],
     latencies: List[float],
     responses: List[dict],
@@ -76,9 +81,11 @@ async def _client(
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
         for dims in dims_list:
-            body = json.dumps(
-                {"expression": expression, "dims": list(dims)}
-            ).encode()
+            body = json.dumps({
+                "expression": expression,
+                "dims": list(dims),
+                "discriminant": discriminant,
+            }).encode()
             head = (
                 f"POST /select HTTP/1.1\r\nHost: bench\r\n"
                 f"Content-Length: {len(body)}\r\n\r\n"
@@ -129,8 +136,15 @@ async def _drive(
     started = time.perf_counter()
     await asyncio.gather(
         *(
-            _client(service.port, expression, stream, latencies, responses)
-            for stream in streams
+            _client(
+                service.port,
+                expression,
+                LOAD_DISCRIMINANTS[client_index % len(LOAD_DISCRIMINANTS)],
+                stream,
+                latencies,
+                responses,
+            )
+            for client_index, stream in enumerate(streams)
         )
     )
     wall = time.perf_counter() - started
@@ -179,13 +193,25 @@ def run_load(
     return asyncio.run(session())
 
 
-def _expected_selections(
-    engine: SelectionEngine, report: dict
-) -> List[Selection]:
-    return engine.select_many(
-        report["expression"],
-        [response["dims"] for response in report["responses"]],
-    )
+def _expected_indices(engine: SelectionEngine, report: dict) -> List[int]:
+    """The engine's own pick per response, one batch per discriminant."""
+    responses = report["responses"]
+    expected = [-1] * len(responses)
+    for discriminant in LOAD_DISCRIMINANTS:
+        positions = [
+            i for i, response in enumerate(responses)
+            if response["discriminant"] == discriminant
+        ]
+        if not positions:
+            continue
+        selections = engine.select_many(
+            report["expression"],
+            [responses[i]["dims"] for i in positions],
+            discriminant=discriminant,
+        )
+        for i, selection in zip(positions, selections):
+            expected[i] = selection.algorithm_index
+    return expected
 
 
 # ----------------------------------------------------------------------
@@ -212,10 +238,12 @@ def test_service_load_smoke(run_once, fig_config):
     assert len(report["responses"]) == report["requests"]
     # Every HTTP answer matches the engine's own (batched) answer —
     # the batched-equals-per-request contract, end to end.
-    expected = _expected_selections(engine, report)
-    assert [r["algorithm"]["index"] for r in report["responses"]] == [
-        s.algorithm_index for s in expected
-    ]
+    assert [
+        r["algorithm"]["index"] for r in report["responses"]
+    ] == _expected_indices(engine, report)
+    assert {r["discriminant"] for r in report["responses"]} == set(
+        LOAD_DISCRIMINANTS
+    )
     # Concurrent clients actually coalesced.
     assert report["batch"]["max_batch"] > 1
     assert report["rate_per_second"] > 0
@@ -273,10 +301,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         requests_per_client=args.requests,
         seed=args.seed,
     )
-    expected = _expected_selections(engine, report)
     matches = [
         response["algorithm"]["index"] for response in report["responses"]
-    ] == [selection.algorithm_index for selection in expected]
+    ] == _expected_indices(engine, report)
     report["batched_equals_per_request"] = matches
     del report["responses"]  # raw bodies are noise in the artifact
 

@@ -129,10 +129,13 @@ class Backend(abc.ABC):
         kernel calls (every aatb variant times a ``(d0, d2)``-shaped
         product, say), so on a real machine each distinct call is
         benchmarked once per evaluation batch rather than once per
-        plan.  Backends whose prediction is context-dependent (the
-        simulated machine folds the algorithm name into its noise
-        stream) override :meth:`predict_times` to ignore ``timed``,
-        which makes this exactly the per-algorithm column stack.
+        plan.  A backend whose prediction is context-dependent cannot
+        share that memo: the simulated machine folds the algorithm name
+        into its noise stream, so
+        :meth:`repro.backends.simulated.SimulatedBackend.predict_times_matrix`
+        overrides this method.  It keeps every column equal to the
+        per-algorithm :meth:`predict_times` and runs all algorithms'
+        misses through one noise pass.
         """
         timed: Dict[_CallKey, float] = {}
         return np.stack(

@@ -78,18 +78,27 @@ class _ArrayMemo:
             size += 1
         self._size = size
 
-    def rows(self, keys: Sequence[bytes]) -> np.ndarray:
-        """Row index per key, -1 where missing."""
+    def lookup(self, keys: Sequence[bytes]):
+        """Rows per key (-1 where missing), the missing positions, and
+        each distinct missing key's first position."""
         index = self._index
-        return np.fromiter(
+        rows = np.fromiter(
             (index.get(key, -1) for key in keys),
             dtype=np.int64,
             count=len(keys),
         )
+        missing = np.nonzero(rows < 0)[0].tolist()
+        first_seen: Dict[bytes, int] = {}
+        for position in missing:
+            first_seen.setdefault(keys[position], position)
+        return rows, missing, first_seen
 
-    def fill_rows(self, rows: np.ndarray, positions, keys) -> None:
+    def complete(self, rows, missing, keys, first_seen, values) -> None:
+        """Store the computed ``values`` of the distinct missing keys
+        and point their ``rows`` at them."""
+        self.put_many(list(first_seen), values)
         index = self._index
-        for position in positions:
+        for position in missing:
             rows[position] = index[keys[position]]
 
     def gather(self, rows: np.ndarray) -> np.ndarray:
@@ -209,15 +218,10 @@ class SimulatedBackend(Backend):
         distinct missing row is computed exactly once.
         """
         keys = _row_keys(arr)
-        rows = memo.rows(keys)
-        missing_positions = np.nonzero(rows < 0)[0].tolist()
-        if missing_positions:
-            first_seen: Dict[bytes, int] = {}
-            for position in missing_positions:
-                first_seen.setdefault(keys[position], position)
+        rows, missing, first_seen = memo.lookup(keys)
+        if missing:
             values = compute(arr[list(first_seen.values())])
-            memo.put_many(list(first_seen), values)
-            memo.fill_rows(rows, missing_positions, keys)
+            memo.complete(rows, missing, keys, first_seen, values)
         return memo.gather(rows)
 
     def time_algorithms(
@@ -256,6 +260,57 @@ class SimulatedBackend(Backend):
                 self._batched_calls(algorithm, sub), context=algorithm.name
             ),
         )
+
+    def predict_times_matrix(
+        self,
+        algorithms: Sequence[Algorithm],
+        instances: Sequence[Sequence[int]],
+    ) -> np.ndarray:
+        """``(n, A)`` predictions with one noise pass for all the misses.
+
+        Each algorithm's memo rows are gathered as in
+        :meth:`predict_times`; the distinct missing rows of *every*
+        algorithm then go through one
+        :meth:`MachineModel.predict_algorithms_batch` call.  Ids keep
+        each algorithm's own noise context and scheduled call order, so
+        every column equals the per-algorithm :meth:`predict_times`
+        bit for bit, and the memos end up holding the same values.
+        """
+        arr = self._instances_matrix(instances)
+        out = np.empty((arr.shape[0], len(algorithms)))
+        if arr.shape[0] == 0:
+            return out
+        keys = _row_keys(arr)
+        # Algorithms sharing a name share a memo: the first one's
+        # column serves them all, as the sequential memo would.
+        first_column: Dict[str, int] = {}
+        pending = []
+        jobs = []
+        for j, algorithm in enumerate(algorithms):
+            if first_column.setdefault(algorithm.name, j) != j:
+                continue
+            memo = self._memo("predict", algorithm.name)
+            rows, missing, first_seen = memo.lookup(keys)
+            if missing:
+                sub = arr[list(first_seen.values())]
+                jobs.append(
+                    (self._batched_calls(algorithm, sub), algorithm.name)
+                )
+                pending.append((j, memo, rows, missing, first_seen))
+            else:
+                out[:, j] = memo.gather(rows)
+        if jobs:
+            computed = self.machine.predict_algorithms_batch(jobs)
+            for (j, memo, rows, missing, first_seen), values in zip(
+                pending, computed
+            ):
+                memo.complete(rows, missing, keys, first_seen, values)
+                out[:, j] = memo.gather(rows)
+        for j, algorithm in enumerate(algorithms):
+            first = first_column[algorithm.name]
+            if first != j:
+                out[:, j] = out[:, first]
+        return out
 
     def time_kernels(
         self, kernel: KernelName, dims: Sequence[Sequence[int]]

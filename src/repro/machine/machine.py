@@ -40,7 +40,7 @@ equivalence suite in ``tests/test_batch_equivalence.py`` pins this.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -294,30 +294,52 @@ class MachineModel:
         return float(self.measure_kernel_batch(kernel, [tuple(dims)])[0])
 
     def _base_seconds_memo(
-        self, kernel: KernelName, dims: np.ndarray
-    ) -> np.ndarray:
+        self, calls: Sequence[Tuple[KernelName, np.ndarray]]
+    ) -> List[np.ndarray]:
         """Noise-free base seconds, memoised across algorithm contexts.
 
         Equivalent plans evaluated over the same instance batch issue
         largely overlapping ``(kernel, dims-column)`` calls; the base
         time depends only on those coordinates (no context, no noise),
-        so it is computed once per distinct column per batch.  Callers
-        must not mutate the returned array (the interference multiply
-        in :meth:`_algorithm_batch` rebinds, never writes in place).
+        so it is computed once per distinct column.  The distinct
+        uncached columns of one kernel go through one stacked
+        :meth:`kernel_seconds_batch` call — every quantity in it is
+        elementwise per row, so each column gets exactly the values a
+        call of its own would.  Callers must not mutate the returned
+        arrays (the interference multiply rebinds, never writes in
+        place).
         """
-        key = (kernel, np.ascontiguousarray(dims).tobytes())
-        base = self._base_seconds_cache.get(key)
-        if base is None:
-            base = self.kernel_seconds_batch(kernel, dims)
-            size = len(key[1]) + base.nbytes
-            if self._base_cache_bytes + size > _BASE_CACHE_MAX_BYTES:
-                self._base_seconds_cache.clear()
-                self._base_cache_bytes = 0
-            self._base_seconds_cache[key] = base
-            self._base_cache_bytes += size
-        else:
-            self.base_seconds_cache_hits += 1
-        return base
+        cache = self._base_seconds_cache
+        keys = [
+            (kernel, np.ascontiguousarray(dims).tobytes())
+            for kernel, dims in calls
+        ]
+        found = [cache.get(key) for key in keys]
+        misses: Dict[KernelName, Dict[bytes, np.ndarray]] = {}
+        for (kernel, raw), (_, dims), base in zip(keys, calls, found):
+            if base is None:
+                misses.setdefault(kernel, {}).setdefault(raw, dims)
+        computed: dict = {}
+        for kernel, columns in misses.items():
+            values = self.kernel_seconds_batch(
+                kernel, np.concatenate(list(columns.values()))
+            )
+            offset = 0
+            for raw, dims in columns.items():
+                base = values[offset:offset + dims.shape[0]]
+                offset += dims.shape[0]
+                computed[(kernel, raw)] = base
+                size = len(raw) + base.nbytes
+                if self._base_cache_bytes + size > _BASE_CACHE_MAX_BYTES:
+                    cache.clear()
+                    self._base_cache_bytes = 0
+                cache[(kernel, raw)] = base
+                self._base_cache_bytes += size
+        self.base_seconds_cache_hits += len(keys) - len(computed)
+        return [
+            computed[key] if base is None else base
+            for key, base in zip(keys, found)
+        ]
 
     def _algorithm_batch(
         self,
@@ -327,15 +349,13 @@ class MachineModel:
     ) -> np.ndarray:
         if not calls:
             raise ValueError("algorithm batch needs at least one call")
-        context_base = self._stream_base(context)
         if len(calls) > 1 and scheduler_enabled():
-            return self._algorithm_batch_fused(
-                calls, context_base, with_interference
-            )
+            return self._fused_batches([(calls, context)], with_interference)[0]
+        context_base = self._stream_base(context)
         total = np.zeros(calls[0].n)
         previous: Optional[KernelCallBatch] = None
         for index, call in enumerate(calls):
-            base = self._base_seconds_memo(call.kernel, call.dims)
+            (base,) = self._base_seconds_memo([(call.kernel, call.dims)])
             if (
                 with_interference
                 and previous is not None
@@ -351,56 +371,89 @@ class MachineModel:
             previous = call
         return total
 
-    def _algorithm_batch_fused(
+    def _fused_batches(
         self,
-        calls: Sequence[KernelCallBatch],
-        context_base: int,
+        jobs: Sequence[Tuple[Sequence[KernelCallBatch], str]],
         with_interference: bool,
-    ) -> np.ndarray:
-        """One noise/median pass over a whole multi-kernel region.
+    ) -> List[np.ndarray]:
+        """One noise/median pass over many ``(calls, context)`` runs.
 
-        Bit-equal to the per-call loop by construction: measurement ids
-        and base seconds are built per call exactly as before, then the
-        noise factors and the median-of-reps run once over the stacked
-        ``(k*n, reps)`` block — :meth:`NoiseModel.factors_from_ids` is
+        Bit-equal to the per-call loop by construction: each call's
+        base seconds and measurement-id coordinates (its run's context
+        base, its index in the run, kernel, dims) are exactly the
+        per-call ones.  Calls of equal arity fold their ids as one
+        stacked array (:func:`fold` is elementwise), the noise factors
+        and the median-of-reps then run once over the stacked
+        ``(rows, reps)`` block — :meth:`NoiseModel.factors_from_ids` is
         elementwise per id and ``np.median`` sorts each row
-        independently, so row ``index*n + j`` matches what call
-        ``index`` alone would have produced for instance ``j``.  The
-        final summation replays the sequential per-call order (never a
-        pairwise ``np.sum`` reduction, which would reorder the float
-        additions for k >= 8).  This amortizes the per-call NumPy
-        dispatch of the study hot loop's innermost layer — the win the
-        scheduler's fused regions hand to every backend at once.
+        independently — and each run sums its calls' rows in its own
+        sequential call order (never a pairwise ``np.sum`` reduction,
+        which would reorder the float additions for k >= 8).  This
+        amortizes the per-call NumPy dispatch: the study hot loop fuses
+        one run's calls, benchmark-sum selection every algorithm's.
         """
-        n = calls[0].n
-        bases: list = []
+        # Every call of every run as (context base, index, call,
+        # previous call), runs as ranges over that flat list.
+        flat = []
+        runs = []
+        for calls, context in jobs:
+            if not calls:
+                raise ValueError("algorithm batch needs at least one call")
+            context_base = self._stream_base(context)
+            runs.append((calls[0].n, range(len(flat), len(flat) + len(calls))))
+            previous: Optional[KernelCallBatch] = None
+            for index, call in enumerate(calls):
+                flat.append((context_base, index, call, previous))
+                previous = call
+        bases = self._base_seconds_memo(
+            [(call.kernel, call.dims) for _, _, call, _ in flat]
+        )
+        if with_interference:
+            for k, (_, _, call, previous) in enumerate(flat):
+                if previous is not None and call.reads_previous:
+                    bases[k] = bases[k] * (
+                        1.0 + self.interference_penalty_batch(previous, call)
+                    )
+        by_arity: Dict[int, List[int]] = {}
+        for k, (_, _, call, _) in enumerate(flat):
+            by_arity.setdefault(call.dims.shape[1], []).append(k)
         ids: list = []
-        previous: Optional[KernelCallBatch] = None
-        for index, call in enumerate(calls):
-            base = self._base_seconds_memo(call.kernel, call.dims)
-            if (
-                with_interference
-                and previous is not None
-                and call.reads_previous
-            ):
-                base = base * (
-                    1.0 + self.interference_penalty_batch(previous, call)
-                )
-            bases.append(np.broadcast_to(base, (n,)))
-            ids.append(
-                self._measurement_ids(
-                    context_base, index, call.kernel, call.dims
-                )
+        order: List[int] = []
+        for arity, members in by_arity.items():
+            counts = [flat[k][2].n for k in members]
+
+            def column(values, dtype):
+                return np.repeat(np.array(values, dtype=dtype), counts)
+
+            group_ids = column([flat[k][0] for k in members], np.uint64)
+            group_ids = fold(
+                group_ids, column([flat[k][1] for k in members], np.int64)
             )
-            previous = call
+            group_ids = fold(group_ids, column(
+                [_KERNEL_TOKEN[flat[k][2].kernel] for k in members], np.int64
+            ))
+            dims = np.concatenate([flat[k][2].dims for k in members])
+            for j in range(arity):
+                group_ids = fold(group_ids, dims[:, j])
+            ids.append(group_ids)
+            order.extend(members)
+        starts = [0] * len(flat)
+        offset = 0
+        for k in order:
+            starts[k] = offset
+            offset += flat[k][2].n
         factors = self.noise.factors_from_ids(np.concatenate(ids), self.reps)
         measured = np.median(
-            np.concatenate(bases)[:, None] * factors, axis=1
+            np.concatenate([bases[k] for k in order])[:, None] * factors,
+            axis=1,
         )
-        total = np.zeros(n)
-        for index in range(len(calls)):
-            total = total + measured[index * n:(index + 1) * n]
-        return total
+        totals = []
+        for n, members in runs:
+            total = np.zeros(n)
+            for k in members:
+                total = total + measured[starts[k]:starts[k] + n]
+            totals.append(total)
+        return totals
 
     def measure_algorithm_batch(
         self, calls: Sequence[KernelCallBatch], context: str = ""
@@ -424,6 +477,14 @@ class MachineModel:
         benchmarks cannot see — the inter-kernel cache effects.
         """
         return self._algorithm_batch(calls, context, with_interference=False)
+
+    def predict_algorithms_batch(
+        self, jobs: Sequence[Tuple[Sequence[KernelCallBatch], str]]
+    ) -> List[np.ndarray]:
+        """:meth:`predict_algorithm_batch` of many ``(calls, context)``
+        runs at once, each bit-equal to its own call, through one
+        noise/median pass (see :meth:`_fused_batches`)."""
+        return self._fused_batches(jobs, with_interference=False)
 
     def measure_algorithm(
         self, calls: Sequence[KernelCall], context: str = ""

@@ -40,10 +40,10 @@ class Profile:
             raise ValueError("each axis needs at least two grid points")
         flat_log = np.log(np.ascontiguousarray(self.times)).reshape(-1)
         object.__setattr__(self, "_flat_log_times", flat_log)
-        # Row-major strides (in elements) into the flattened grid, and
-        # per-axis float views + log views for the interpolation.
-        strides = np.ones(len(self.axes), dtype=np.int64)
-        for i in range(len(self.axes) - 2, -1, -1):
+        # Row-major strides (in elements) into the flattened grid.
+        n_axes = len(self.axes)
+        strides = np.ones(n_axes, dtype=np.int64)
+        for i in range(n_axes - 2, -1, -1):
             strides[i] = strides[i + 1] * len(self.axes[i + 1])
         object.__setattr__(self, "_strides", strides)
         axes_f = tuple(
@@ -51,8 +51,33 @@ class Profile:
         )
         object.__setattr__(self, "_axes_f", axes_f)
         object.__setattr__(
-            self, "_log_axes", tuple(np.log(a) for a in axes_f)
+            self, "_grid_lo", np.array([a[0] for a in axes_f])
         )
+        object.__setattr__(
+            self, "_grid_hi", np.array([a[-1] for a in axes_f])
+        )
+        object.__setattr__(
+            self,
+            "_top_cell",
+            np.array([len(a) - 1 for a in axes_f], dtype=np.int64),
+        )
+        # Every axis's log grid in one table; a cell's lower edge on
+        # axis i sits at index ``lo + _log_axis_offset[i]``.
+        object.__setattr__(
+            self, "_log_axes", np.concatenate([np.log(a) for a in axes_f])
+        )
+        object.__setattr__(
+            self,
+            "_log_axis_offset",
+            np.cumsum([0] + [len(a) for a in axes_f[:-1]]).astype(np.int64),
+        )
+        # Corner ``mask`` of a cell takes the upper grid point on axis
+        # i iff bit i is set: its bits per axis and its flat-index
+        # offset from the cell's lower corner.
+        corners = np.arange(1 << n_axes)
+        bits = (corners[:, None] >> np.arange(n_axes)) & 1
+        object.__setattr__(self, "_corner_bits", bits)
+        object.__setattr__(self, "_corner_offsets", bits @ strides)
 
     @property
     def n_points(self) -> int:
@@ -77,41 +102,31 @@ class Profile:
                 f"{self.kernel.value} takes (n, {len(self.axes)}) dims, "
                 f"got shape {dims.shape!r}"
             )
-        n = dims.shape[0]
-        n_axes = len(self.axes)
-        lows = np.empty((n, n_axes), dtype=np.int64)
-        weights = np.empty((n, n_axes), dtype=np.float64)
-        for axis_i, (axis_f, log_axis) in enumerate(
-            zip(self._axes_f, self._log_axes)
-        ):
-            v = np.clip(dims[:, axis_i], axis_f[0], axis_f[-1])
-            hi = np.clip(
-                np.searchsorted(axis_f, v, side="left"), 1, len(axis_f) - 1
-            )
-            lo = hi - 1
-            lows[:, axis_i] = lo
-            weights[:, axis_i] = (np.log(v) - log_axis[lo]) / (
-                log_axis[hi] - log_axis[lo]
-            )
-        # Multilinear blend over the 2^n cell corners, accumulated in
-        # the same corner order (and per-axis factor order) as the
-        # scalar loop used to, so results are reproducible bit-for-bit.
-        total = np.zeros(n, dtype=np.float64)
-        flat_log = self._flat_log_times
-        strides = self._strides
-        for mask in range(1 << n_axes):
-            weight = np.ones(n, dtype=np.float64)
-            flat_index = np.zeros(n, dtype=np.int64)
-            for axis_i in range(n_axes):
-                if mask >> axis_i & 1:
-                    weight = weight * weights[:, axis_i]
-                    flat_index += (lows[:, axis_i] + 1) * strides[axis_i]
-                else:
-                    weight = weight * (1.0 - weights[:, axis_i])
-                    flat_index += lows[:, axis_i] * strides[axis_i]
-            total += weight * flat_log[flat_index]
+        n_axes = dims.shape[1]
+        v = np.minimum(np.maximum(dims, self._grid_lo), self._grid_hi)
+        hi = np.empty(dims.shape, dtype=np.int64)
+        for axis_i, axis_f in enumerate(self._axes_f):
+            hi[:, axis_i] = np.searchsorted(axis_f, v[:, axis_i], side="left")
+        lo = np.minimum(np.maximum(hi, 1), self._top_cell) - 1
+        lo_at = lo + self._log_axis_offset
+        log_axes = self._log_axes
+        log_lo = log_axes[lo_at]
+        weights = (np.log(v) - log_lo) / (log_axes[lo_at + 1] - log_lo)
+        # Multilinear blend over the 2^n cell corners: each corner's
+        # weight multiplies its per-axis factors in axis order, and the
+        # corners accumulate in mask order, so results are
+        # reproducible bit-for-bit.
+        factors = np.stack((1.0 - weights, weights))
+        bits = self._corner_bits
+        weight = factors[bits[:, 0], :, 0]
+        for axis_i in range(1, n_axes):
+            weight = weight * factors[bits[:, axis_i], :, axis_i]
+        corner_index = (lo @ self._strides) + self._corner_offsets[:, None]
+        terms = weight * self._flat_log_times[corner_index]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
         return np.exp(total)
-
 
 def build_profile(
     backend: Backend, kernel: KernelName, axes: Sequence[Sequence[int]]

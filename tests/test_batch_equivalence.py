@@ -511,8 +511,10 @@ def test_predicted_times_batch_matches_scalar_sum(seed, aatb):
     discriminant = ProfiledTimeDiscriminant(profiles)
     instances = _instances(aatb.n_dims, 60, seed=seed)
     arr = np.asarray(instances, dtype=np.int64)
-    for algorithm in aatb.algorithms():
-        batch = discriminant.predicted_times_batch(algorithm, arr)
+    algorithms = aatb.algorithms()
+    times = discriminant.plan_for(algorithms, aatb.n_dims).times(arr)
+    for j, algorithm in enumerate(algorithms):
+        batch = times[:, j]
         assert batch.tolist() == [
             discriminant.predicted_time(algorithm, inst)
             for inst in instances
