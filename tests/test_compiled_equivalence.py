@@ -74,6 +74,19 @@ PAYLOAD_SHA256 = {
     "tri4": "65b8d864adb8261d616eef0ab6893a36315eab68135d5af47c2e91147131fca4",
 }
 
+#: Full-scale study payload digests (seed 0, paper box), recorded from
+#: the same pipeline as :data:`PAYLOAD_SHA256` so the paper's sample
+#: counts are held fixed too, not only the quick ones.
+FULL_PAYLOAD_SHA256 = {
+    "aatb": "0dc48b6507766ea8095962d6b27438dfbc476825e98c6c451544e87a511848cd",
+    "addchain3": "95573b18ee41de93ad0962b5c41e4da1ae345b930e6f8b07394014b43653735b",
+    "chain4": "caa9efbfbe936c2797d175e01895ea1805acb245a76f10d4cc3d3a6f4370f625",
+    "gram3": "760bf0da1e832dad645b9a902a309636ab324e78a1d95338e2b13fd4d155d18a",
+    "solve3": "fca4d8a4c671f9464235f44ca0c751291c3f5108b997ccc36f68e5a613fb9ed4",
+    "sum3": "4c3df3060cfd70821f3612828eeba0d12510df0200fdd7fff6705cc5df292a8d",
+    "tri4": "2451c6af25c3f6319817fe434193c68b38405a0a15745116eaffafb6a8c520dd",
+}
+
 #: Hand-derived FLOP polynomials of the paper's five aatb algorithms.
 AATB_POLYS = {
     "aatb-1:syrk+symm": "d0^2*d1 + 2*d0^2*d2 + d0*d1",
@@ -142,3 +155,12 @@ def test_quick_study_payloads_byte_identical_to_pre_refactor(
     text = encode_study(key, *compute_study_results(config, expression_name))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == PAYLOAD_SHA256[expression_name]
+
+
+@pytest.mark.parametrize("expression_name", sorted(FULL_PAYLOAD_SHA256))
+def test_full_study_payloads_byte_identical(expression_name):
+    key = StudyKey("full", 0, expression_name)
+    config = FigureConfig(scale="full", seed=0)
+    text = encode_study(key, *compute_study_results(config, expression_name))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == FULL_PAYLOAD_SHA256[expression_name]
