@@ -13,7 +13,8 @@ interpreted ones exactly.
 The interpreter side below is the literal pre-codegen path: whole
 instance columns through each algorithm's FLOP polynomial plus
 ``batch_kernel_calls`` over the interpreted call sequence — the same
-code ``REPRO_NO_CODEGEN=1`` falls back to.
+code a hand-built :class:`~repro.expressions.base.Algorithm` without a
+codegen provider runs.
 """
 
 import random

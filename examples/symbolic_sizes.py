@@ -38,7 +38,7 @@ def main() -> None:
     print("FLOP polynomials (A ∈ R^{d0×d1}, B ∈ R^{d0×d2}):")
     for algorithm in algorithms:
         poly = flop_polynomial(algorithm)
-        print(f"  {algorithm.name:<24} {poly.render(NAMES)}")
+        print(f"  {algorithm.name:<24} {poly.expanded(NAMES)}")
 
     result = possibly_cheapest(algorithms, FIXED, BOUNDS_LO, BOUNDS_HI)
     print(

@@ -34,11 +34,11 @@ class Algorithm:
 
     ``codegen`` is an optional provider of compiled batch evaluators
     (duck-typed: ``flops_fn()`` / ``calls_fn()`` returning a callable
-    over an ``(n, n_dims)`` int64 instance matrix, or None when
-    disabled — see :class:`repro.expressions.codegen.PlanCodegen`).
-    The batch methods below consult it first and fall back to the
-    interpreted column path, so hand-built algorithms without a
-    provider keep working unchanged.
+    over an ``(n, n_dims)`` int64 instance matrix — see
+    :class:`repro.expressions.codegen.PlanCodegen`).  The batch
+    methods below use it when present and the interpreted column path
+    otherwise, so hand-built algorithms without a provider keep
+    working unchanged.
     """
 
     name: str
@@ -89,9 +89,7 @@ class Algorithm:
     ) -> Tuple[KernelCallBatch, ...]:
         """One :class:`KernelCallBatch` per call slot over a batch."""
         if self.codegen is not None:
-            fn = self.codegen.calls_fn()
-            if fn is not None:
-                return fn(instances_matrix)
+            return self.codegen.calls_fn()(instances_matrix)
         columns = tuple(
             instances_matrix[:, i] for i in range(instances_matrix.shape[1])
         )

@@ -3,7 +3,7 @@
 The study hot loop evaluates every plan's FLOP polynomial and
 kernel-call list millions of times; interpreting the ``Plan`` step
 list per batch pays Python dispatch for work that is fixed at compile
-time.  This module emits — per *plan structure* — three specialized
+time.  This module emits — per *plan structure* — two specialized
 functions as Python source and ``compile()``s each exactly once:
 
 * a **batch FLOP evaluator**: the step list collapsed into one
@@ -13,59 +13,31 @@ functions as Python source and ``compile()``s each exactly once:
   time into a single fancy-index gather plus per-call column slices,
   with :class:`~repro.kernels.types.KernelCallBatch` objects built
   through the trusted-constructor path (the emitted shapes are correct
-  by construction, so the per-call validation is skipped);
-* a **NumPy/BLAS executor**: the step loop unrolled into straight-line
-  calls of the same :mod:`repro.expressions.blas` wrappers in the same
-  order as ``Plan.execute`` (bit-identical results), with temp-buffer
-  slots preassigned by liveness so intermediate arrays are dropped as
-  early as the interpreter would drop them.  When the plan scheduler
-  is enabled (the default; see :mod:`repro.expressions.scheduler`) the
-  emitted body additionally applies its buffer-reuse, ADD-fusion and
-  in-place-fill decisions — still bit-identical, cached separately per
-  scheduler mode.
+  by construction, so the per-call validation is skipped).
 
 Compiled code is cached two ways: per structural *plan signature*
-(CSE-equal plans — identical leaves and steps — share all three
+(CSE-equal plans — identical leaves and steps — share both
 functions) and, for the FLOP evaluator, per canonical FLOP polynomial
 (plans that differ only in association share one evaluator object,
 which lets ``core.classify.batch_flops`` dedupe whole evaluations by
 function identity).
 
-``REPRO_NO_CODEGEN=1`` disables the layer: the environment is checked
-lazily on every use, so flipping it at runtime falls back to (or
-re-enables from) the interpreted path without rebuilding registries —
-and a disabled process never compiles anything.
-
-Adding a kernel: teach the IR/compiler its lowering, then register one
-line in :data:`EXECUTOR_EMITTERS` mapping the new
-:class:`~repro.kernels.types.KernelName` to a function
-``(plan, step, ref_src) -> "RHS source"`` (see the existing five).
-The FLOP and call builders need nothing — they are derived from the
-kernel's arity and FLOP formula.
+Adding a kernel needs nothing here: both builders are derived from the
+kernel's arity and FLOP formula.  Real-operand execution is
+``Plan.execute``'s job alone.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.envknobs import scheduler_enabled
-from repro.expressions import blas
 from repro.expressions.ir import AddExpr
-from repro.expressions.scheduler import (
-    PlanDecisions,
-    schedule_decisions,
-    scheduled_execute,
-)
 from repro.expressions.shapes import SizeExpr, dim_symbols
-from repro.kernels.types import KernelCallBatch, KernelName
+from repro.kernels.types import KernelCallBatch
 
-#: (plan signature, scheduled?) → compiled :class:`PlanCode`.  The
-#: scheduled and plain executors differ (buffer reuse, fused ADDs,
-#: in-place fills), so each mode compiles its own entry; flipping
-#: ``REPRO_NO_SCHEDULER`` at runtime switches between them lazily.
+#: Plan signature → compiled :class:`PlanCode`.
 _PLAN_CACHE: Dict[tuple, "PlanCode"] = {}
 
 #: Canonical FLOP-polynomial key → (compiled evaluator, its source).
@@ -80,31 +52,9 @@ _STATS = {
 }
 
 
-# The enabled probe runs twice per algorithm per batch (flops + calls)
-# on the study hot loop; ``os.environ.get`` costs ~0.8us through the
-# Mapping machinery, so read CPython's raw environ dict when it is
-# exposed (keys/values are fsencoded bytes on posix).  Mutations via
-# ``os.environ[...]``/``monkeypatch.setenv`` update the same dict.
-_ENVIRON_DATA = getattr(os.environ, "_data", None)
-_NO_CODEGEN_KEY = (
-    os.fsencode("REPRO_NO_CODEGEN")
-    if isinstance(next(iter(_ENVIRON_DATA), b""), bytes)
-    else "REPRO_NO_CODEGEN"
-) if _ENVIRON_DATA is not None else None
-
-
-def codegen_enabled() -> bool:
-    """Whether generated evaluators are in use (checked lazily per call)."""
-    if _ENVIRON_DATA is not None:
-        raw = _ENVIRON_DATA.get(_NO_CODEGEN_KEY)
-        return raw is None or raw in (b"", b"0", "", "0")
-    return os.environ.get("REPRO_NO_CODEGEN", "") in ("", "0")
-
-
 def codegen_stats() -> dict:
     """Cache sizes and hit counters for ``GET /stats`` and tests."""
     return {
-        "enabled": codegen_enabled(),
         "plan_cache_size": len(_PLAN_CACHE),
         "plan_cache_hits": _STATS["plan_cache_hits"],
         "plans_compiled": _STATS["plans_compiled"],
@@ -239,196 +189,30 @@ def _emit_calls_source(plan) -> Tuple[str, dict]:
     return "\n".join(lines) + "\n", namespace
 
 
-def _emit_syrk(plan, step, ref_src) -> str:
-    if step.left.is_step:
-        return f"_syrk({ref_src(step.left)})"
-    leaf = plan.leaves[step.left.index]
-    return f"_syrk(operands[{leaf.operand}], trans={leaf.transposed!r})"
-
-
-def _emit_symm(plan, step, ref_src) -> str:
-    return f"_symm({ref_src(step.left)}, {ref_src(step.right)})"
-
-
-def _emit_trsm(plan, step, ref_src) -> str:
-    leaf = plan.leaves[step.left.index]
-    return f"_trsm(operands[{leaf.operand}], {ref_src(step.right)})"
-
-
-def _emit_add(plan, step, ref_src) -> str:
-    return f"_add({ref_src(step.left)}, {ref_src(step.right)})"
-
-
-def _emit_gemm(plan, step, ref_src) -> str:
-    return f"_gemm({ref_src(step.left)}, {ref_src(step.right)})"
-
-
-#: Per-kernel executor emitters: ``(plan, step, ref_src) -> RHS source``.
-#: ``ref_src`` renders a ValueRef as source (a temp slot or an operand
-#: view).  A new kernel registers exactly one entry here; the emitted
-#: call must invoke the same :mod:`repro.expressions.blas` wrapper the
-#: interpreted ``Plan.execute`` branch does, so generated and
-#: interpreted executors stay bit-identical.
-EXECUTOR_EMITTERS: Dict[KernelName, Callable] = {
-    KernelName.SYRK: _emit_syrk,
-    KernelName.SYMM: _emit_symm,
-    KernelName.TRSM: _emit_trsm,
-    KernelName.ADD: _emit_add,
-    KernelName.GEMM: _emit_gemm,
-}
-
-
-def _step_inputs(step) -> List[int]:
-    """Indices of prior steps whose values this step reads."""
-    inputs = []
-    for ref in (step.left, step.right):
-        if ref is not None and ref.is_step:
-            inputs.append(ref.index)
-    if step.accumulate is not None:
-        inputs.append(step.accumulate)
-    return inputs
-
-
-def _emit_execute_source(
-    plan, decisions: Optional[PlanDecisions] = None
-) -> Tuple[str, dict]:
-    """Straight-line executor with liveness-assigned temp slots.
-
-    Replays exactly the wrapper calls ``Plan.execute`` issues, in the
-    same order with the same arguments.  Slots are reused once their
-    value's last reader has run; an accumulation target stays blocked
-    through its step because ``t_out = t_acc + t_out`` reads it
-    *after* the main call's assignment.
-
-    With ``decisions`` (the scheduler's :class:`PlanDecisions`), the
-    emitted body additionally recycles dead buffers as ``out=``
-    targets, collapses ADD chains into in-place accumulations and
-    symmetrizes single-consumer SYRK triangles in place — every form
-    bit-equal to its allocating counterpart, so scheduled and plain
-    executors return identical arrays.
-    """
-    steps = plan.steps
-    last_use = [0] * len(steps)
-    for i, step in enumerate(steps):
-        for source in _step_inputs(step):
-            last_use[source] = max(last_use[source], i)
-    last_use[len(steps) - 1] = len(steps)
-
-    # Values whose buffer the scheduler hands to a later step must keep
-    # their slot name bound until the claim site.
-    claimed = set()
-    if decisions is not None:
-        claimed.update(v for v in decisions.fuse_into if v is not None)
-        claimed.update(v for v in decisions.reuse_from if v is not None)
-
-    def ref_src(ref) -> str:
-        if ref.is_step:
-            return f"t{slot_of[ref.index]}"
-        factor = plan.leaves[ref.index]
-        leaf = factor.leaves[ref.sub] if ref.sub is not None else factor
-        source = f"operands[{leaf.operand}]"
-        return f"{source}.T" if leaf.transposed else source
-
-    lines = ["def execute(operands):"]
-    slot_of: Dict[int, int] = {}
-    free: List[int] = []
-    n_slots = 0
-    for i, step in enumerate(steps):
-        dying = sorted(
-            slot_of[k]
-            for k in range(i)
-            if last_use[k] == i and k not in claimed
-        )
-        # An accumulation source is read after this step's assignment;
-        # its slot only frees once the statement group has run.
-        blocked = (
-            {slot_of[step.accumulate]}
-            if step.accumulate is not None
-            else set()
-        )
-        free.extend(s for s in dying if s not in blocked)
-        free.sort()
-        fuse = decisions.fuse_into[i] if decisions is not None else None
-        reuse = decisions.reuse_from[i] if decisions is not None else None
-        if fuse is not None:
-            # In-place ADD-chain collapse: the dying operand's slot
-            # becomes the output, no allocation.
-            slot = slot_of[fuse]
-        elif reuse is not None:
-            # Claimed slots never entered ``free``: the dead buffer is
-            # still bound to its name, ready to be an ``out=`` target.
-            slot = slot_of[reuse]
-        elif free:
-            slot = free.pop(0)
-        else:
-            slot = n_slots
-            n_slots += 1
-        slot_of[i] = slot
-        out = f"t{slot}"
-        rhs = EXECUTOR_EMITTERS[step.kernel](plan, step, ref_src)
-        if (fuse is not None or reuse is not None) and rhs.endswith(")"):
-            rhs = f"{rhs[:-1]}, out={out})"
-        lines.append(f"    {out} = {rhs}")
-        if step.copy_to_full:
-            if decisions is not None and decisions.inplace_fill[i]:
-                lines.append(f"    {out} = _symmetrize({out})")
-            else:
-                lines.append(f"    {out} = _fill({out})")
-        if step.accumulate is not None:
-            acc = f"t{slot_of[step.accumulate]}"
-            if decisions is not None:
-                lines.append(f"    {out} = _add({acc}, {out}, out={out})")
-            else:
-                lines.append(f"    {out} = {acc} + {out}")
-        free.extend(s for s in dying if s in blocked and s != slot)
-        free.sort()
-    lines.append(f"    return t{slot_of[len(steps) - 1]}")
-    namespace = {
-        "_gemm": blas.gemm,
-        "_syrk": blas.syrk_lower,
-        "_symm": blas.symm_lower,
-        "_add": blas.add,
-        "_trsm": blas.trsm,
-        "_fill": blas.fill_symmetric_from_lower,
-        "_symmetrize": blas.symmetrize_lower_inplace,
-    }
-    return "\n".join(lines) + "\n", namespace
-
-
 # ----------------------------------------------------------------------
 # Compiled plan code + the per-algorithm provider
 # ----------------------------------------------------------------------
 
 
 class PlanCode:
-    """The three compiled functions (and their source) of one plan."""
+    """The two compiled functions (and their source) of one plan."""
 
-    __slots__ = ("flops", "calls", "execute", "source")
+    __slots__ = ("flops", "calls", "source")
 
     def __init__(
         self,
         flops: Callable[[np.ndarray], np.ndarray],
         calls: Callable[[np.ndarray], Tuple[KernelCallBatch, ...]],
-        execute: Callable,
         source: Dict[str, str],
     ) -> None:
         self.flops = flops
         self.calls = calls
-        self.execute = execute
         self.source = source
 
 
-def compiled_plan(plan, scheduled: Optional[bool] = None) -> PlanCode:
-    """The plan's :class:`PlanCode`, compiling at most once per structure.
-
-    ``scheduled`` selects the executor flavour (the scheduler's
-    buffer-reuse/fusion decisions applied, or the plain unrolling) and
-    defaults to the live ``REPRO_NO_SCHEDULER`` state; the FLOP and
-    call builders are identical in both flavours.
-    """
-    if scheduled is None:
-        scheduled = scheduler_enabled()
-    signature = (plan_signature(plan), scheduled)
+def compiled_plan(plan) -> PlanCode:
+    """The plan's :class:`PlanCode`, compiling at most once per structure."""
+    signature = plan_signature(plan)
     code = _PLAN_CACHE.get(signature)
     if code is not None:
         _STATS["plan_cache_hits"] += 1
@@ -437,20 +221,8 @@ def compiled_plan(plan, scheduled: Optional[bool] = None) -> PlanCode:
     flops_fn, flops_source = _flops_entry(plan)
     calls_source, calls_namespace = _emit_calls_source(plan)
     calls_fn = _compile_function(calls_source, "calls_batch", calls_namespace)
-    decisions = schedule_decisions(plan) if scheduled else None
-    execute_source, execute_namespace = _emit_execute_source(plan, decisions)
-    execute_fn = _compile_function(
-        execute_source, "execute", execute_namespace
-    )
     code = PlanCode(
-        flops_fn,
-        calls_fn,
-        execute_fn,
-        {
-            "flops": flops_source,
-            "calls": calls_source,
-            "execute": execute_source,
-        },
+        flops_fn, calls_fn, {"flops": flops_source, "calls": calls_source}
     )
     _PLAN_CACHE[signature] = code
     return code
@@ -459,55 +231,24 @@ def compiled_plan(plan, scheduled: Optional[bool] = None) -> PlanCode:
 class PlanCodegen:
     """Lazy per-plan provider wired into :class:`~repro.expressions.base.Algorithm`.
 
-    ``flops_fn``/``calls_fn`` return the compiled evaluator, or None
-    while ``REPRO_NO_CODEGEN`` disables the layer — callers fall back
-    to the interpreted path, and a disabled process never compiles.
-    ``execute`` is installed as the algorithm's executor directly and
-    falls back to ``Plan.execute`` itself.
+    Nothing compiles until a batch path first asks for a function.
     """
 
-    __slots__ = ("plan", "_codes")
+    __slots__ = ("plan", "_code")
 
     def __init__(self, plan) -> None:
         self.plan = plan
-        # One compiled entry per scheduler mode; flipping
-        # REPRO_NO_SCHEDULER switches executors without recompiling.
-        self._codes: Dict[bool, PlanCode] = {}
+        self._code: Optional[PlanCode] = None
 
-    def _resolve(self) -> Optional[PlanCode]:
-        if not codegen_enabled():
-            return None
-        mode = scheduler_enabled()
-        code = self._codes.get(mode)
-        if code is None:
-            code = self._codes[mode] = compiled_plan(self.plan, scheduled=mode)
-        return code
+    def _resolve(self) -> PlanCode:
+        if self._code is None:
+            self._code = compiled_plan(self.plan)
+        return self._code
 
-    def flops_fn(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        code = self._resolve()
-        if code is None:
-            return None
+    def flops_fn(self) -> Callable[[np.ndarray], np.ndarray]:
         _STATS["flops_batches"] += 1
-        return code.flops
+        return self._resolve().flops
 
-    def calls_fn(
-        self,
-    ) -> Optional[Callable[[np.ndarray], Tuple[KernelCallBatch, ...]]]:
-        code = self._resolve()
-        if code is None:
-            return None
+    def calls_fn(self) -> Callable[[np.ndarray], Tuple[KernelCallBatch, ...]]:
         _STATS["call_batches"] += 1
-        return code.calls
-
-    def execute(self, operands) -> np.ndarray:
-        code = self._resolve()
-        if code is not None:
-            return code.execute(operands)
-        if scheduler_enabled():
-            return scheduled_execute(self.plan, operands)
-        return self.plan.execute(operands)
-
-    @property
-    def source(self) -> Dict[str, str]:
-        """Emitted source of all three functions (docs/debugging)."""
-        return compiled_plan(self.plan).source
+        return self._resolve().calls

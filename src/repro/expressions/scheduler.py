@@ -1,72 +1,31 @@
-"""Plan scheduler: dependency graph, buffer reuse, fusion, reordering.
+"""Plan scheduler: dependency graph and interference-scored reordering.
 
 Sits between :mod:`repro.expressions.compiler` (which lowers an
 expression tree to a straight-line :class:`~repro.expressions.compiler.Plan`)
-and :mod:`repro.expressions.codegen` (which unrolls the step list into
-generated source).  From each plan's steps it builds an explicit
-read/write dependency graph — which prior step values each step reads,
-and where each value's last reader runs — and derives three things:
+and the machine model.  From each plan's steps it builds the explicit
+read dependency graph — which prior step values each step reads — and
+uses it to reorder steps for non-default machine schedules:
+dependency-respecting permutations of the step list are scored with
+:class:`~repro.machine.machine.MachineModel`'s producer-keyed
+cache-interference term at a staggered probe instance;
+``min-interference`` picks the model-predicted-fastest order and
+``max-interference`` the slowest, with strict comparisons so ties keep
+the original order.  Reordering changes which step pairs are
+producer/consumer adjacent, hence the interference tokens and which
+instances classify as anomalies — that contrast is a scenario axis,
+exposed as the ``schedule`` knob on the machine presets.
 
-1. **Buffer-reuse / in-place resolution** (``can_free``/``can_inplace``
-   in TorchInductor terms).  A value whose last reader has run is dead;
-   its storage is recycled as the output buffer of a later same-shape
-   GEMM or ADD (``out=`` on the :mod:`repro.expressions.blas` wrappers)
-   instead of allocating.  Output shapes are compared as *dim-index*
-   tuples, so equality is exact for every instance by construction, and
-   only buffers dead **strictly before** a step qualify — a buffer
-   dying *at* the step is one of its inputs, and BLAS forbids
-   input/output aliasing (elementwise ADD is the exception, handled by
-   fusion below).
-
-2. **Fusion of adjacent memory-bound steps.**  An ADD whose step
-   operand dies at the ADD collapses into an in-place accumulation on
-   that operand's buffer (``np.add(a, b, out=a)`` reads each element
-   before writing it, so chains of k ADDs touch one buffer instead of
-   allocating k).  A SYRK's ``triangle → copy to full`` materialization
-   with at most one consumer is replaced by an in-place symmetrize of
-   the triangle buffer — the separate full-size copy disappears, for
-   the default schedule too.
-
-3. **Interference-scored reordering** (non-default schedules only).
-   Dependency-respecting permutations of the step list are scored with
-   :class:`~repro.machine.machine.MachineModel`'s producer-keyed
-   cache-interference term at a staggered probe instance;
-   ``min-interference`` picks the model-predicted-fastest order and
-   ``max-interference`` the slowest, with strict comparisons so ties
-   keep the original order.  Reordering changes which step pairs are
-   producer/consumer adjacent, hence the interference tokens and which
-   instances classify as anomalies — that contrast is the new scenario
-   axis, exposed as the ``schedule`` knob on the machine presets.
-
-Every transformation is **bit-preserving** for the default schedule:
-``dgemm`` with an F-contiguous ``c`` buffer and ``np.add`` with ``out=``
-produce the same bits as their allocating forms (and fall back to a
-fresh allocation of the same value when a buffer does not qualify), and
-the in-place symmetrize writes exactly the elements the full copy
-would.  The sha256-pinned study payloads therefore hold with the
-scheduler on or off; ``tests/test_scheduler.py`` pins executor, FLOP
-and call-batch equality per family.
-
-``REPRO_NO_SCHEDULER=1`` disables the layer (checked lazily per use,
-like ``REPRO_NO_CODEGEN``): decisions degrade to the unscheduled plan
-and non-default schedules fall back to the original order.
+The ``default`` schedule is the identity: call batches pass through
+unchanged (same objects), so default-schedule studies never see this
+module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.envknobs import scheduler_enabled
-from repro.expressions import blas
-from repro.kernels.types import KernelCall, KernelCallBatch, KernelName
-
-#: Decision cache: plan step tuple → :class:`PlanDecisions`.  Decisions
-#: depend only on the step list (kernels, dim indices, value refs),
-#: never on the leaves, so CSE-equal step tuples share one entry.
-_DECISIONS_CACHE: Dict[tuple, "PlanDecisions"] = {}
+from repro.kernels.types import KernelCall, KernelCallBatch
 
 #: Cap on the number of topological orders scored per plan.  The
 #: lexicographically-first order (the original one) is always scored
@@ -75,10 +34,6 @@ _DECISIONS_CACHE: Dict[tuple, "PlanDecisions"] = {}
 MAX_ORDERS = 4000
 
 _STATS = {
-    "plans_scheduled": 0,
-    "fused_adds": 0,
-    "inplace_reuses": 0,
-    "copies_dropped": 0,
     "plans_reordered": 0,
     "reorder_wins": 0,
     "schedule_cache_hits": 0,
@@ -86,29 +41,15 @@ _STATS = {
 
 
 def scheduler_stats() -> dict:
-    """Decision counters for ``GET /stats`` and tests."""
-    return {
-        "enabled": scheduler_enabled(),
-        "plans_scheduled": _STATS["plans_scheduled"],
-        "fused_adds": _STATS["fused_adds"],
-        "inplace_reuses": _STATS["inplace_reuses"],
-        "copies_dropped": _STATS["copies_dropped"],
-        "plans_reordered": _STATS["plans_reordered"],
-        "reorder_wins": _STATS["reorder_wins"],
-        "schedule_cache_hits": _STATS["schedule_cache_hits"],
-    }
+    """Reordering counters for ``GET /stats`` and tests."""
+    return dict(_STATS)
 
 
 def clear_scheduler_caches() -> None:
-    """Drop all cached decisions and counters (test isolation hook)."""
-    _DECISIONS_CACHE.clear()
+    """Reset the counters (test isolation hook); step orders are
+    cached per machine, in ``MachineModel.schedule_cache``."""
     for key in _STATS:
         _STATS[key] = 0
-
-
-# ----------------------------------------------------------------------
-# Dependency graph
-# ----------------------------------------------------------------------
 
 
 def step_reads(step) -> Tuple[int, ...]:
@@ -120,183 +61,6 @@ def step_reads(step) -> Tuple[int, ...]:
     if step.accumulate is not None:
         reads.append(step.accumulate)
     return tuple(reads)
-
-
-def step_output_dims(step) -> Tuple[int, int]:
-    """The step value's shape as dim-vector *indices* (rows, cols)."""
-    if step.kernel is KernelName.SYRK:
-        return (step.dims[0], step.dims[0])
-    return (step.dims[0], step.dims[1])
-
-
-def last_uses(steps: Sequence) -> List[int]:
-    """Per step, the index of its value's last reader.
-
-    The root value is read by the caller, encoded as ``len(steps)`` —
-    one past the end, so it never qualifies as dead.
-    """
-    last = [0] * len(steps)
-    for i, step in enumerate(steps):
-        for source in step_reads(step):
-            last[source] = max(last[source], i)
-    last[len(steps) - 1] = len(steps)
-    return last
-
-
-# ----------------------------------------------------------------------
-# Liveness decisions (buffer reuse, fusion, in-place fill)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlanDecisions:
-    """Per-step scheduling decisions for one plan structure.
-
-    ``fuse_into[i]`` — the ADD at step ``i`` accumulates in place into
-    this producer's buffer (the producer's value dies at ``i``).
-    ``reuse_from[i]`` — step ``i`` writes its output into this
-    producer's buffer, which died strictly before ``i``.
-    ``inplace_fill[i]`` — the step's ``copy to full`` is realised as an
-    in-place symmetrize of the triangle buffer (at most one consumer).
-    ``last_use[i]`` — the step index of value ``i``'s last reader.
-    """
-
-    reads: Tuple[Tuple[int, ...], ...]
-    last_use: Tuple[int, ...]
-    fuse_into: Tuple[Optional[int], ...]
-    reuse_from: Tuple[Optional[int], ...]
-    inplace_fill: Tuple[bool, ...]
-
-
-def schedule_decisions(plan) -> PlanDecisions:
-    """Liveness decisions for ``plan``, computed once per step structure."""
-    key = plan.steps
-    cached = _DECISIONS_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    steps = plan.steps
-    n = len(steps)
-    reads = tuple(step_reads(step) for step in steps)
-    last = last_uses(steps)
-    out_dims = [step_output_dims(step) for step in steps]
-
-    fuse_into: List[Optional[int]] = [None] * n
-    reuse_from: List[Optional[int]] = [None] * n
-    inplace_fill = [False] * n
-    pool: List[int] = []  # dead, unclaimed values in death order
-
-    for i, step in enumerate(steps):
-        if step.kernel is KernelName.ADD:
-            # In-place chain collapse: accumulate onto a step operand
-            # whose value dies here.  Elementwise addition tolerates
-            # the input/output aliasing this creates.
-            for ref in (step.left, step.right):
-                if (
-                    ref is not None
-                    and ref.is_step
-                    and last[ref.index] == i
-                    and ref.index != step.accumulate
-                ):
-                    fuse_into[i] = ref.index
-                    break
-        if fuse_into[i] is None and step.kernel in (
-            KernelName.GEMM,
-            KernelName.ADD,
-        ):
-            # Recycle a same-shape buffer that died strictly before
-            # this step (so it cannot alias any of this step's inputs).
-            for candidate in pool:
-                if out_dims[candidate] == out_dims[i]:
-                    reuse_from[i] = candidate
-                    pool.remove(candidate)
-                    break
-        if step.copy_to_full:
-            consumers = sum(1 for j in range(i + 1, n) if i in reads[j])
-            inplace_fill[i] = consumers <= 1
-        for k in range(i + 1):
-            if last[k] == i and fuse_into[i] != k:
-                pool.append(k)
-
-    decisions = PlanDecisions(
-        reads=reads,
-        last_use=tuple(last),
-        fuse_into=tuple(fuse_into),
-        reuse_from=tuple(reuse_from),
-        inplace_fill=tuple(inplace_fill),
-    )
-    _DECISIONS_CACHE[key] = decisions
-    _STATS["plans_scheduled"] += 1
-    _STATS["fused_adds"] += sum(1 for f in decisions.fuse_into if f is not None)
-    _STATS["inplace_reuses"] += sum(
-        1 for r in decisions.reuse_from if r is not None
-    )
-    _STATS["copies_dropped"] += sum(decisions.inplace_fill)
-    return decisions
-
-
-# ----------------------------------------------------------------------
-# Interpreted scheduled executor
-# ----------------------------------------------------------------------
-
-
-def scheduled_execute(plan, operands: Sequence[np.ndarray]) -> np.ndarray:
-    """``Plan.execute`` with the scheduler's buffer decisions applied.
-
-    Issues the same BLAS wrapper calls in the same order with the same
-    mathematical arguments; only where results land differs — and every
-    in-place form is bit-equal to its allocating counterpart, so the
-    returned array matches ``plan.execute(operands)`` exactly.
-    """
-    decisions = schedule_decisions(plan)
-    steps = plan.steps
-    values: List[Optional[np.ndarray]] = [None] * len(steps)
-
-    def resolve(ref) -> np.ndarray:
-        if ref.is_step:
-            return values[ref.index]
-        factor = plan.leaves[ref.index]
-        leaf = factor.leaves[ref.sub] if ref.sub is not None else factor
-        operand = operands[leaf.operand]
-        return operand.T if leaf.transposed else operand
-
-    for i, step in enumerate(steps):
-        out: Optional[np.ndarray] = None
-        fuse = decisions.fuse_into[i]
-        reuse = decisions.reuse_from[i]
-        if fuse is not None:
-            out = values[fuse]
-        elif reuse is not None:
-            out = values[reuse]
-            values[reuse] = None
-        if step.kernel is KernelName.SYRK:
-            if step.left.is_step:
-                value = blas.syrk_lower(values[step.left.index])
-            else:
-                leaf = plan.leaves[step.left.index]
-                value = blas.syrk_lower(
-                    operands[leaf.operand], trans=leaf.transposed
-                )
-        elif step.kernel is KernelName.SYMM:
-            value = blas.symm_lower(resolve(step.left), resolve(step.right))
-        elif step.kernel is KernelName.TRSM:
-            leaf = plan.leaves[step.left.index]
-            value = blas.trsm(operands[leaf.operand], resolve(step.right))
-        elif step.kernel is KernelName.ADD:
-            value = blas.add(resolve(step.left), resolve(step.right), out=out)
-        else:
-            value = blas.gemm(resolve(step.left), resolve(step.right), out=out)
-        if step.copy_to_full:
-            if decisions.inplace_fill[i]:
-                value = blas.symmetrize_lower_inplace(value)
-            else:
-                value = blas.fill_symmetric_from_lower(value)
-        if step.accumulate is not None:
-            value = blas.add(values[step.accumulate], value, out=value)
-        if fuse is not None:
-            values[fuse] = None
-        values[i] = value
-    return values[-1]
 
 
 # ----------------------------------------------------------------------
@@ -354,9 +118,8 @@ def schedule_order(plan, machine) -> Tuple[Tuple[int, ...], Tuple[bool, ...]]:
     original index of the step that runs at position ``p`` and
     ``reads_previous[p]`` says whether that step consumes the value of
     the step right before it *in the new order* — the flag the
-    machine's interference term keys on.  The ``default`` schedule (or
-    a disabled scheduler) returns the original order with the plan's
-    own flags; ``min-``/``max-interference`` return the permutation the
+    machine's interference term keys on.  The ``default`` schedule
+    returns the original order with the plan's own flags; ``min-``/``max-interference`` return the permutation the
     analytic model scores fastest/slowest at the staggered probe
     instance, with strict comparisons so ties keep the original order.
     """
@@ -364,11 +127,7 @@ def schedule_order(plan, machine) -> Tuple[Tuple[int, ...], Tuple[bool, ...]]:
     identity = tuple(range(len(steps)))
     original_flags = tuple(step.reads_previous for step in steps)
     schedule = getattr(machine, "schedule", "default")
-    if (
-        schedule == "default"
-        or len(steps) < 2
-        or not scheduler_enabled()
-    ):
+    if schedule == "default" or len(steps) < 2:
         return identity, original_flags
 
     cache = machine.schedule_cache
@@ -425,8 +184,7 @@ def scheduled_call_batches(
 ) -> Tuple[KernelCallBatch, ...]:
     """Apply the machine's schedule to an algorithm's call batches.
 
-    Identity (default schedule, scheduler disabled, or no plan behind
-    the algorithm) returns ``batches`` unchanged — same objects, so the
+    Identity (default schedule, or no plan behind the algorithm) returns ``batches`` unchanged — same objects, so the
     default path stays byte-identical.
     """
     plan = _plan_of(algorithm)

@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.envknobs import scheduler_enabled
 from repro.kernels.flops import kernel_flops_batch
 from repro.kernels.types import (
     KERNEL_ARITY,
@@ -347,29 +346,7 @@ class MachineModel:
         context: str,
         with_interference: bool,
     ) -> np.ndarray:
-        if not calls:
-            raise ValueError("algorithm batch needs at least one call")
-        if len(calls) > 1 and scheduler_enabled():
-            return self._fused_batches([(calls, context)], with_interference)[0]
-        context_base = self._stream_base(context)
-        total = np.zeros(calls[0].n)
-        previous: Optional[KernelCallBatch] = None
-        for index, call in enumerate(calls):
-            (base,) = self._base_seconds_memo([(call.kernel, call.dims)])
-            if (
-                with_interference
-                and previous is not None
-                and call.reads_previous
-            ):
-                base = base * (
-                    1.0 + self.interference_penalty_batch(previous, call)
-                )
-            ids = self._measurement_ids(
-                context_base, index, call.kernel, call.dims
-            )
-            total = total + self._measure_batch(base, ids)
-            previous = call
-        return total
+        return self._fused_batches([(calls, context)], with_interference)[0]
 
     def _fused_batches(
         self,
@@ -378,10 +355,10 @@ class MachineModel:
     ) -> List[np.ndarray]:
         """One noise/median pass over many ``(calls, context)`` runs.
 
-        Bit-equal to the per-call loop by construction: each call's
-        base seconds and measurement-id coordinates (its run's context
-        base, its index in the run, kernel, dims) are exactly the
-        per-call ones.  Calls of equal arity fold their ids as one
+        Bit-equal to a per-call measurement loop by construction: each
+        call's base seconds and measurement-id coordinates (its run's
+        context base, its index in the run, kernel, dims) are exactly
+        the ones :meth:`_measurement_ids` folds for that call alone.  Calls of equal arity fold their ids as one
         stacked array (:func:`fold` is elementwise), the noise factors
         and the median-of-reps then run once over the stacked
         ``(rows, reps)`` block — :meth:`NoiseModel.factors_from_ids` is

@@ -7,12 +7,7 @@ the interpreted paths **bit for bit** on randomized instance batches:
 * the batch FLOP evaluator equals both the interpreted whole-column
   polynomial evaluation and the :func:`flop_polynomial` oracle;
 * the generated :class:`KernelCallBatch` builder equals
-  ``batch_kernel_calls`` over the interpreted call sequence;
-* the generated NumPy executor equals ``Plan.execute`` on real
-  operands (same BLAS wrappers replayed in the same order).
-
-``REPRO_NO_CODEGEN=1`` must disable every generated path, falling back
-to the interpreter with identical results.
+  ``batch_kernel_calls`` over the interpreted call sequence.
 """
 
 import random
@@ -23,7 +18,6 @@ import pytest
 from repro.core.symbolic import flop_polynomial
 from repro.expressions.codegen import (
     clear_codegen_caches,
-    codegen_enabled,
     codegen_stats,
     compiled_plan,
     plan_signature,
@@ -76,14 +70,13 @@ def test_codegen_flops_match_interpreter_and_polynomial(family):
         for a in expression.algorithms()
     ]
     for arr in _instance_batches(expression.n_dims, seed=hash(family) % 997):
-        columns = tuple(arr[:, i] for i in range(arr.shape[1]))
         for algorithm, poly in zip(expression.algorithms(), polys):
             fn = algorithm.flops_batch_function()
             assert fn is not None, algorithm.name
             got = fn(arr)
             assert got.dtype == np.int64
             assert got.tolist() == _interpreted_flops(algorithm, arr).tolist()
-            assert got.tolist() == poly.evaluate(columns).tolist()
+            assert got.tolist() == poly.evaluate_columns(arr).tolist()
             # The convenience wrapper routes through the same function.
             assert algorithm.flops_batch(arr).tolist() == got.tolist()
 
@@ -101,55 +94,6 @@ def test_codegen_call_batches_match_interpreter(family):
                 assert got.reads_previous == want.reads_previous
                 assert got.dims.shape == want.dims.shape
                 assert np.array_equal(got.dims, want.dims)
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_codegen_executor_bit_equal_to_plan_execute(family):
-    expression = get_expression(family)
-    rng_seed = 11
-    instances = [
-        tuple(random.Random(rng_seed + i).randint(2, 24)
-              for _ in range(expression.n_dims))
-        for i in range(3)
-    ]
-    for plan, algorithm in zip(expression.plans(), expression.algorithms()):
-        code = compiled_plan(plan)
-        for i, instance in enumerate(instances):
-            operands = expression.make_operands(
-                instance, np.random.default_rng(rng_seed + i)
-            )
-            interpreted = plan.execute(operands)
-            generated = code.execute(operands)
-            assert generated.dtype == interpreted.dtype
-            assert np.array_equal(generated, interpreted)
-            # The Algorithm's executor routes through the provider.
-            assert np.array_equal(algorithm.execute(operands), interpreted)
-
-
-def test_no_codegen_env_falls_back_to_interpreter(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_CODEGEN", "1")
-    assert not codegen_enabled()
-    expression = get_expression("aatb")
-    arr = _instance_batches(expression.n_dims)[0]
-    for algorithm in expression.algorithms():
-        # The provider answers None: batch paths use the interpreter.
-        assert algorithm.flops_batch_function() is None
-        assert (
-            algorithm.flops_batch(arr).tolist()
-            == _interpreted_flops(algorithm, arr).tolist()
-        )
-        generated = algorithm.kernel_call_batches(arr)
-        interpreted = _interpreted_batches(algorithm, arr)
-        for got, want in zip(generated, interpreted):
-            assert got.kernel is want.kernel
-            assert np.array_equal(got.dims, want.dims)
-    # Executors still work (interpreted Plan.execute fallback).
-    operands = expression.make_operands((4, 5, 6), np.random.default_rng(0))
-    reference = expression.reference(operands)
-    for algorithm in expression.algorithms():
-        assert np.allclose(algorithm.execute(operands), reference)
-    monkeypatch.delenv("REPRO_NO_CODEGEN")
-    assert codegen_enabled()
 
 
 def test_plan_cache_and_flops_sharing_stats():

@@ -1,20 +1,13 @@
-"""Plan scheduler equivalence and reordering contracts.
+"""Plan scheduler reordering contracts and fused measurement.
 
-The scheduler (:mod:`repro.expressions.scheduler`) sits between the
-compiler and codegen and must be a pure perf layer under the default
-machine schedule:
+The scheduler (:mod:`repro.expressions.scheduler`) reorders plan steps
+for the non-default machine schedules (``min-``/``max-interference``):
+deterministic, cache-backed, scalar/batch consistent.  Under the
+default schedule it is the identity.
 
-* the scheduled executors (interpreted and generated) equal
-  ``Plan.execute`` **bit for bit** on real operands for every family;
-* FLOP evaluation and :class:`KernelCallBatch` construction are
-  untouched by the scheduler state;
-* the machine's fused measurement pass equals the per-call loop
-  bit for bit;
-* ``REPRO_NO_SCHEDULER=1`` disables every scheduled path with
-  identical results.
-
-Non-default schedules (``min-``/``max-interference``) are the new
-scenario axis: deterministic, cache-backed, scalar/batch consistent.
+The machine measures every algorithm run through one fused
+noise/median pass; it must equal the per-call measurement loop
+written out below bit for bit.
 """
 
 import random
@@ -23,103 +16,44 @@ import numpy as np
 import pytest
 
 from repro.backends.simulated import SimulatedBackend
-from repro.envknobs import scheduler_enabled
-from repro.expressions.codegen import compiled_plan
 from repro.expressions.compiler import compile_add_plans
 from repro.expressions.ir import AddExpr, Leaf
 from repro.expressions.registry import get_expression
 from repro.expressions.scheduler import (
     clear_scheduler_caches,
-    last_uses,
-    schedule_decisions,
     schedule_order,
     scheduled_call_batches,
     scheduled_calls,
-    scheduled_execute,
     scheduler_stats,
     step_reads,
 )
+from repro.kernels.types import batch_kernel_calls
 from repro.machine.machine import SCHEDULES
 from repro.machine.presets import paper_machine
 
-#: The registered families plus two pattern-compiled ones (sum6 runs
-#: the cost-guided pruning pass and carries a GEMM accumulation;
-#: addchain4 is a pure ADD chain).
-FAMILIES = (
-    "aatb", "chain4", "gram3", "tri4", "sum3", "addchain3", "solve3",
-    "sum6", "addchain4",
-)
 
-
-def _instances(n_dims, seed=11, count=3):
-    return [
-        tuple(
-            random.Random(seed + i).randint(2, 24) for _ in range(n_dims)
-        )
-        for i in range(count)
-    ]
-
-
-def _add_chain(n_leaves, rows=60, cols=50, seed=5):
-    leaves = tuple(
-        Leaf(operand=i, rows=0, cols=1, label=f"M{i}")
-        for i in range(n_leaves)
-    )
-    (plan,) = compile_add_plans(f"addfuse{n_leaves}", AddExpr(leaves))
-    rng = np.random.default_rng(seed)
-    operands = [
-        np.asfortranarray(rng.standard_normal((rows, cols)))
-        for _ in range(n_leaves)
-    ]
-    return plan, operands
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_scheduled_executors_bit_equal_to_plan_execute(family):
-    expression = get_expression(family)
-    for plan in expression.plans():
-        for i, instance in enumerate(_instances(expression.n_dims)):
-            operands = expression.make_operands(
-                instance, np.random.default_rng(23 + i)
+def _per_call_loop(machine, calls, context, with_interference):
+    """One noise/median pass per call, summed in call order: the
+    measurement loop the machine's fused pass must reproduce."""
+    context_base = machine._stream_base(context)
+    total = np.zeros(calls[0].n)
+    previous = None
+    for index, call in enumerate(calls):
+        (base,) = machine._base_seconds_memo([(call.kernel, call.dims)])
+        if with_interference and previous is not None and call.reads_previous:
+            base = base * (
+                1.0 + machine.interference_penalty_batch(previous, call)
             )
-            reference = plan.execute(operands)
-            interpreted = scheduled_execute(plan, operands)
-            generated = compiled_plan(plan, scheduled=True).execute(operands)
-            plain = compiled_plan(plan, scheduled=False).execute(operands)
-            assert interpreted.dtype == reference.dtype
-            assert np.array_equal(interpreted, reference)
-            assert np.array_equal(generated, reference)
-            assert np.array_equal(plain, reference)
-
-
-def test_scheduler_state_leaves_flops_and_batches_untouched(monkeypatch):
-    expression = get_expression("chain4")
-    arr = np.asarray(
-        [
-            [2, 3, 5, 7, 11],
-            [40, 1, 400, 7, 13],
-            [1, 1, 1, 1, 1],
-        ],
-        dtype=np.int64,
-    )
-    with_scheduler = [
-        (a.flops_batch(arr), a.kernel_call_batches(arr))
-        for a in expression.algorithms()
-    ]
-    monkeypatch.setenv("REPRO_NO_SCHEDULER", "1")
-    for algorithm, (flops, batches) in zip(
-        expression.algorithms(), with_scheduler
-    ):
-        assert algorithm.flops_batch(arr).tolist() == flops.tolist()
-        for got, want in zip(algorithm.kernel_call_batches(arr), batches):
-            assert got.kernel is want.kernel
-            assert got.reads_previous == want.reads_previous
-            assert np.array_equal(got.dims, want.dims)
+        ids = machine._measurement_ids(
+            context_base, index, call.kernel, call.dims
+        )
+        total = total + machine._measure_batch(base, ids)
+        previous = call
+    return total
 
 
 @pytest.mark.parametrize("family", ("sum3", "chain4", "aatb"))
-def test_fused_measurement_bit_equal_to_per_call_loop(family, monkeypatch):
-    monkeypatch.delenv("REPRO_NO_SCHEDULER", raising=False)
+def test_fused_measurement_bit_equal_to_per_call_loop(family):
     expression = get_expression(family)
     rng = random.Random(7)
     box_rows = [
@@ -128,77 +62,36 @@ def test_fused_measurement_bit_equal_to_per_call_loop(family, monkeypatch):
     ]
     arr = np.asarray(box_rows, dtype=np.int64)
     machine = paper_machine(seed=3)
-    fused = []
+    # A separate machine, so the oracle's base seconds come from its
+    # own per-call memo rather than the fused pass's cached columns.
+    oracle = paper_machine(seed=3)
     for algorithm in expression.algorithms():
+        name = algorithm.name
         batches = algorithm.kernel_call_batches(arr)
-        fused.append(
-            (
-                machine.measure_algorithm_batch(batches, algorithm.name),
-                machine.predict_algorithm_batch(batches, algorithm.name),
-                machine.measure_algorithm(
-                    algorithm.kernel_calls(box_rows[0]), algorithm.name
-                ),
+        # Multi-call runs, plus a single-call run of the first slot.
+        for calls in (batches, batches[:1]):
+            assert np.array_equal(
+                machine.measure_algorithm_batch(calls, name),
+                _per_call_loop(oracle, calls, name, True),
             )
-        )
-    monkeypatch.setenv("REPRO_NO_SCHEDULER", "1")
-    assert not scheduler_enabled()
-    for algorithm, (measured, predicted, scalar) in zip(
-        expression.algorithms(), fused
-    ):
-        batches = algorithm.kernel_call_batches(arr)
-        assert np.array_equal(
-            machine.measure_algorithm_batch(batches, algorithm.name),
-            measured,
-        )
-        assert np.array_equal(
-            machine.predict_algorithm_batch(batches, algorithm.name),
-            predicted,
-        )
-        assert (
-            machine.measure_algorithm(
-                algorithm.kernel_calls(box_rows[0]), algorithm.name
+            assert np.array_equal(
+                machine.predict_algorithm_batch(calls, name),
+                _per_call_loop(oracle, calls, name, False),
             )
-            == scalar
+        scalar_calls = algorithm.kernel_calls(box_rows[0])
+        assert machine.measure_algorithm(scalar_calls, name) == float(
+            _per_call_loop(
+                oracle, batch_kernel_calls(scalar_calls, 1), name, True
+            )[0]
         )
 
 
-def test_add_chain_fuses_into_one_accumulator():
-    plan, operands = _add_chain(6)
-    decisions = schedule_decisions(plan)
-    # Five ADD steps; every step after the first accumulates in place
-    # into its dying step operand's buffer.
-    assert decisions.fuse_into == (None, 0, 1, 2, 3)
-    reference = plan.execute(operands)
-    assert np.array_equal(scheduled_execute(plan, operands), reference)
-    code = compiled_plan(plan, scheduled=True)
-    assert np.array_equal(code.execute(operands), reference)
-    # The emitted executor reuses one buffer through the whole chain.
-    assert "out=t0" in code.source["execute"]
-    assert ", out=" not in compiled_plan(plan, scheduled=False).source["execute"]
-
-
-def test_dependency_graph_and_liveness_helpers():
-    plan, _ = _add_chain(4)
-    assert [step_reads(s) for s in plan.steps] == [(), (0,), (1,)]
-    assert last_uses(plan.steps) == [1, 2, 3]
-
-
-def test_syrk_copy_materialization_dropped_when_single_consumer():
-    clear_scheduler_caches()
-    expression = get_expression("aatb")
-    plans = {a.name: p for p, a in zip(expression.plans(), expression.algorithms())}
-    plan = plans["aatb-2:syrk+copy+gemm"]
-    assert plan.steps[0].copy_to_full
-    decisions = schedule_decisions(plan)
-    assert decisions.inplace_fill[0]
-    stats = scheduler_stats()
-    assert stats["plans_scheduled"] >= 1
-    assert stats["copies_dropped"] >= 1
-    instance = (6, 9, 4)
-    operands = expression.make_operands(instance, np.random.default_rng(1))
-    assert np.array_equal(
-        scheduled_execute(plan, operands), plan.execute(operands)
+def test_step_reads_dependency_graph():
+    leaves = tuple(
+        Leaf(operand=i, rows=0, cols=1, label=f"M{i}") for i in range(4)
     )
+    (plan,) = compile_add_plans("addfuse4", AddExpr(leaves))
+    assert [step_reads(s) for s in plan.steps] == [(), (0,), (1,)]
 
 
 def test_schedule_order_default_is_identity():
@@ -210,11 +103,7 @@ def test_schedule_order_default_is_identity():
         assert flags == tuple(s.reads_previous for s in plan.steps)
 
 
-def test_schedule_order_reorders_deterministically_with_cache(monkeypatch):
-    # Reordering is the one transform that needs the scheduler live —
-    # neutralize an ambient ablation env so the assertions stay
-    # meaningful under `REPRO_NO_SCHEDULER=1 pytest` runs too.
-    monkeypatch.delenv("REPRO_NO_SCHEDULER", raising=False)
+def test_schedule_order_reorders_deterministically_with_cache():
     clear_scheduler_caches()
     minimize = paper_machine(seed=0, schedule="min-interference")
     maximize = paper_machine(seed=0, schedule="max-interference")
@@ -313,30 +202,6 @@ def test_scheduled_calls_and_batches_are_consistent():
             assert tuple(batch.dims[0]) == call.dims
 
 
-def test_no_scheduler_env_disables_every_scheduled_path(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_SCHEDULER", "1")
-    assert not scheduler_enabled()
-    assert not scheduler_stats()["enabled"]
-    # Non-default schedules degrade to the original order.
-    machine = paper_machine(seed=0, schedule="min-interference")
-    expression = get_expression("sum3")
-    for plan in expression.plans():
-        order, flags = schedule_order(plan, machine)
-        assert order == tuple(range(len(plan.steps)))
-        assert flags == tuple(s.reads_previous for s in plan.steps)
-    # Executors fall back with identical results.
-    operands = expression.make_operands(
-        _probe(expression.n_dims, start=5, stride=2), np.random.default_rng(2)
-    )
-    for plan, algorithm in zip(expression.plans(), expression.algorithms()):
-        assert np.array_equal(
-            algorithm.execute(operands), plan.execute(operands)
-        )
-    for value in ("", "0"):
-        monkeypatch.setenv("REPRO_NO_SCHEDULER", value)
-        assert scheduler_enabled()
-
-
 def test_machine_rejects_unknown_schedule():
     assert SCHEDULES == ("default", "min-interference", "max-interference")
     with pytest.raises(ValueError, match="schedule"):
@@ -348,12 +213,13 @@ def test_machine_rejects_unknown_schedule():
 
 
 def test_clear_scheduler_caches_resets_stats():
-    schedule_decisions(get_expression("aatb").plans()[0])
-    assert scheduler_stats()["plans_scheduled"] >= 1
+    plan = get_expression("sum3").plans()[0]
+    schedule_order(plan, paper_machine(seed=0, schedule="min-interference"))
+    assert scheduler_stats()["plans_reordered"] >= 1
     clear_scheduler_caches()
     stats = scheduler_stats()
-    assert stats["plans_scheduled"] == 0
+    assert stats["plans_reordered"] == 0
     assert stats["schedule_cache_hits"] == 0
-    # Decisions recompute cleanly after the drop.
-    schedule_decisions(get_expression("aatb").plans()[0])
-    assert scheduler_stats()["plans_scheduled"] == 1
+    # Orders recompute cleanly after the reset (on a fresh machine).
+    schedule_order(plan, paper_machine(seed=0, schedule="min-interference"))
+    assert scheduler_stats()["plans_reordered"] == 1

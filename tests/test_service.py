@@ -513,27 +513,20 @@ def test_http_stats_schema_end_to_end(engine):
     assert isinstance(engine_section["discriminants"], list)
 
     codegen = stats["codegen"]
-    assert isinstance(codegen["enabled"], bool)
     for counter in ("plans_compiled", "plan_cache_hits"):
         assert isinstance(codegen[counter], int)
 
     scheduler = stats["scheduler"]
-    assert isinstance(scheduler["enabled"], bool)
-    for counter in ("plans_scheduled", "fused_adds", "plans_reordered"):
+    for counter in ("plans_reordered", "reorder_wins", "schedule_cache_hits"):
         assert isinstance(scheduler[counter], int)
 
     ablation = stats["ablation"]
     assert isinstance(ablation["components"], int)
     assert ablation["components"] == len(ablation["component_names"])
     assert all(isinstance(n, str) for n in ablation["component_names"])
-    assert set(ablation["inert_components"]) <= set(
-        ablation["component_names"]
-    )
     assert isinstance(ablation["study_variants"], list)
     assert "default" in ablation["study_variants"]
     assert isinstance(ablation["detectors"], list)
-    assert isinstance(ablation["scheduler_enabled"], bool)
-    assert isinstance(ablation["codegen_enabled"], bool)
 
     resilience = stats["resilience"]
     assert isinstance(resilience["draining"], bool)

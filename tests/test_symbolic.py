@@ -2,23 +2,28 @@
 
 import pytest
 
-from repro.core.symbolic import Poly, flop_polynomial, possibly_cheapest
+from repro.core.symbolic import flop_polynomial, possibly_cheapest
 from repro.expressions.registry import get_expression
+from repro.expressions.shapes import SizeExpr, dim_symbols
+from repro.service.engine import flops_dim_cap
 
 
-def test_poly_arithmetic_and_evaluate():
-    n = Poly.variable(0, 2)
-    k = Poly.variable(1, 2)
+def test_size_expr_arithmetic_and_size_hint():
+    n, k = dim_symbols(2)
     p = n * (n + 1) * k  # the SYRK FLOP formula
-    assert p.evaluate((3, 5)) == 60
-    assert p.degree == 3
+    assert p.size_hint((3, 5)) == 60
+    # Exact far beyond float64's 2**53 integer range.
+    big = 2**40 + 1
+    assert p.size_hint((big, 3)) == big * (big + 1) * 3
 
 
-def test_poly_render_orders_terms_by_degree():
-    d0 = Poly.variable(0, 3)
-    d1 = Poly.variable(1, 3)
+def test_expanded_orders_terms_by_degree():
+    d0, d1, _ = dim_symbols(3)
     p = 2 * d0 * d0 * d1 + 3 * d1 + 1
-    assert p.render(("d0", "d1", "d2")) == "2*d0^2*d1 + 3*d1 + 1"
+    assert p.expanded(("d0", "d1", "d2")) == "2*d0^2*d1 + 3*d1 + 1"
+    assert SizeExpr.constant(0).expanded(("d0",)) == "0"
+    with pytest.raises(ValueError):
+        p.expanded(("d0",))
 
 
 def test_flop_polynomial_matches_concrete_flops():
@@ -26,7 +31,8 @@ def test_flop_polynomial_matches_concrete_flops():
     instance = (31, 57, 83)
     for algorithm in algorithms:
         poly = flop_polynomial(algorithm)
-        assert poly.evaluate(instance) == int(algorithm.flops(instance))
+        assert isinstance(poly, SizeExpr)
+        assert poly.size_hint(instance) == int(algorithm.flops(instance))
 
 
 def test_possibly_cheapest_finds_known_crossover():
@@ -91,3 +97,24 @@ def test_possibly_cheapest_validates_input():
         possibly_cheapest(algorithms, {9: 4}, (20,) * 3, (30,) * 3)
     with pytest.raises(ValueError):
         possibly_cheapest([], {}, (20,), (30,))
+
+
+@pytest.mark.parametrize(
+    "family,dims",
+    [
+        ("chain4", (1154104, 1154104, 1154107, 1154105, 1154105)),
+        ("sum3", (1048574, 1, 1, 1048575, 1048574, 1048572)),
+    ],
+)
+def test_possibly_cheapest_exact_at_near_ties(family, dims):
+    # Regression: float64 evaluation collapsed these near-ties and
+    # reported a wrong argmin with ``exact=True``.  Every dim is fixed
+    # and within the service's dim cap.
+    algorithms = get_expression(family).algorithms()
+    assert max(dims) <= flops_dim_cap(algorithms, len(dims))
+    result = possibly_cheapest(algorithms, dict(enumerate(dims)), dims, dims)
+    flops = [algorithm.flops(dims) for algorithm in algorithms]
+    argmin = tuple(i for i, f in enumerate(flops) if f == min(flops))
+    assert result.exact
+    assert result.certain == argmin
+    assert result.candidates == argmin
