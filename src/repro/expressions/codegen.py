@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.expressions.ir import AddExpr
 from repro.expressions.shapes import SizeExpr, dim_symbols
 from repro.kernels.types import KernelCallBatch
 
@@ -78,34 +77,18 @@ def clear_codegen_caches() -> None:
 # ----------------------------------------------------------------------
 
 
-def _factor_descriptor(factor) -> tuple:
-    if isinstance(factor, AddExpr):
-        return ("add", tuple(_factor_descriptor(l) for l in factor.leaves))
-    return (
-        "leaf",
-        factor.operand,
-        factor.rows,
-        factor.cols,
-        factor.transposed,
-        factor.symmetric,
-        factor.triangular,
-    )
-
-
 def plan_signature(plan) -> tuple:
     """Structural identity of a plan: everything codegen depends on.
 
-    Two plans with equal signatures lower to byte-identical generated
-    source — labels, tree indices and schedules are presentation-only
-    and deliberately excluded, so CSE-equal plans (e.g. the two
-    schedules of a chain tree, which reorder *independent* steps into
-    the same step tuple) share one compiled :class:`PlanCode`.
+    Both emitted functions read only the step list (kernels, dim
+    indices, consumer flags), so two plans with equal signatures lower
+    to byte-identical generated source — leaves, labels, tree indices
+    and schedules are deliberately excluded, and CSE-equal plans (e.g.
+    the two schedules of a chain tree, which reorder *independent*
+    steps into the same step tuple) share one compiled
+    :class:`PlanCode`.
     """
-    return (
-        plan.n_dims,
-        tuple(_factor_descriptor(f) for f in plan.leaves),
-        plan.steps,
-    )
+    return (plan.n_dims, plan.steps)
 
 
 # ----------------------------------------------------------------------
