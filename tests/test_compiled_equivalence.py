@@ -87,6 +87,26 @@ FULL_PAYLOAD_SHA256 = {
     "tri4": "2451c6af25c3f6319817fe434193c68b38405a0a15745116eaffafb6a8c520dd",
 }
 
+#: Quick-scale study payload digests (seed 0, paper box) under the two
+#: reordering schedules, recorded from the pipeline before the scheduled
+#: executor was removed, so reordered studies keep their bytes too.
+SCHEDULED_PAYLOAD_SHA256 = {
+    ("aatb", "min-interference"): "d3e53477aa7f003a9c570024903e615fdfa959bb29e88dc2f53f9fe0be6632d2",
+    ("addchain3", "min-interference"): "5f855bef61c5065aa7aa609773b5b645f3a56eb8fcf9c733582c4680b39620df",
+    ("chain4", "min-interference"): "86a4626973c20398bc37257d5f130b936cf65d2194e7f6cb84f6afb642615788",
+    ("gram3", "min-interference"): "086a884bbfaf5c13856025e628814a6dc3310284a4c4f797e499072e0bfacd83",
+    ("solve3", "min-interference"): "4094b61e3c46d89d43ee7312a1fc6bfb06d7723fd6559363c8ff2940b52c6498",
+    ("sum3", "min-interference"): "1fe13e4cf7b426d6a74ba5b603c746571e48b9b2bd0edaa5aa1f251331e05b83",
+    ("tri4", "min-interference"): "0516cbf6acaf2050118868c42b24e56ad4dbe6374103115fbe1eb114f6ac501e",
+    ("aatb", "max-interference"): "28cc264c0f45a483be49684c55c724e5a632fcfde4da1afaf9e7e8f5fd6116b8",
+    ("addchain3", "max-interference"): "b21068244cf95d1b2abc2ba1270f3fe6d859704130c5c40dad47a9bf30ab2790",
+    ("chain4", "max-interference"): "ea2c19337d86024fb9e7726dc26a7541a071e944375f8c924e45a7c9149fe4ae",
+    ("gram3", "max-interference"): "6280992b663aebb98b72ea1ca4a3a7dad433fe69e6b11ce242ab3cdea8e877bc",
+    ("solve3", "max-interference"): "fcbd8dafd25bf35b59df84df4270c4642ecf7fb0dfd6525a7ede44d5c494376f",
+    ("sum3", "max-interference"): "1684291de3d08f58b620877b40eb5e20d30befb83ee5c73f0630413ace7f19b0",
+    ("tri4", "max-interference"): "79521c5274af4f1ed2bda128dade985805d363fb9c43512f327b3286b64bdeab",
+}
+
 #: Hand-derived FLOP polynomials of the paper's five aatb algorithms.
 AATB_POLYS = {
     "aatb-1:syrk+symm": "d0^2*d1 + 2*d0^2*d2 + d0*d1",
@@ -146,3 +166,18 @@ def test_full_study_payloads_byte_identical(expression_name):
     text = encode_study(key, *compute_study_results(config, expression_name))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == FULL_PAYLOAD_SHA256[expression_name]
+
+
+@pytest.mark.parametrize(
+    "expression_name,schedule",
+    sorted(SCHEDULED_PAYLOAD_SHA256),
+    ids=lambda value: value,
+)
+def test_quick_study_payloads_byte_identical_under_reordering(
+    expression_name, schedule
+):
+    key = StudyKey("quick", 0, expression_name, schedule=schedule)
+    config = FigureConfig(scale="quick", seed=0, schedule=schedule)
+    text = encode_study(key, *compute_study_results(config, expression_name))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == SCHEDULED_PAYLOAD_SHA256[expression_name, schedule]

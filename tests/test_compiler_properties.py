@@ -1,4 +1,4 @@
-"""Compiler invariants over random families and instances.
+"""Compiler invariants over every family up to k = 5, at random instances.
 
 For every algorithm the compiler emits, three FLOP counts must agree
 exactly at any accepted instance: the symbolic polynomial
@@ -33,6 +33,9 @@ PATTERNS = tuple(
     for k in range(lo, 6)
 )
 
+#: Every family once: the registered ones overlap the patterns.
+FAMILIES = tuple(dict.fromkeys(REGISTERED + PATTERNS))
+
 
 @lru_cache(maxsize=None)
 def _family(name):
@@ -45,40 +48,41 @@ def _family(name):
     return expression.n_dims, algorithms, polynomials, cap
 
 
-@st.composite
-def family_instances(draw):
-    name = draw(st.sampled_from(REGISTERED + PATTERNS))
+def family_rows(name):
+    """Up to four instances of ``name``, mixing the full accepted range
+    with small dims, where degenerate (size-1) extents live."""
     n_dims, _, _, cap = _family(name)
-    # Mix the full accepted range with small dims, where degenerate
-    # (size-1) extents live.
     dim = st.one_of(
         st.integers(min_value=1, max_value=cap),
         st.integers(min_value=1, max_value=64),
     )
-    rows = draw(
-        st.lists(
-            st.lists(dim, min_size=n_dims, max_size=n_dims),
-            min_size=1,
-            max_size=4,
-        )
+    return st.lists(
+        st.lists(dim, min_size=n_dims, max_size=n_dims),
+        min_size=1,
+        max_size=4,
     )
-    return name, rows
 
 
-@settings(max_examples=200, deadline=None)
-@given(family_instances())
-def test_flop_polynomial_equals_flops_and_kernel_calls(case):
-    name, rows = case
+@pytest.mark.parametrize("name", FAMILIES)
+def test_flop_polynomial_equals_flops_and_kernel_calls(name):
     _, algorithms, polynomials, _ = _family(name)
-    arr = np.asarray(rows, dtype=np.int64)
-    for algorithm, polynomial in zip(algorithms, polynomials):
-        exact = []
-        for row in rows:
-            instance = tuple(row)
-            flops = polynomial.size_hint(instance)
-            assert flops == algorithm.flops(instance), algorithm.name
-            assert flops == sum(
-                call.flops for call in algorithm.kernel_calls(instance)
-            ), algorithm.name
-            exact.append(flops)
-        assert algorithm.flops_batch(arr).tolist() == exact, algorithm.name
+
+    @settings(max_examples=20, deadline=None)
+    @given(family_rows(name))
+    def check(rows):
+        arr = np.asarray(rows, dtype=np.int64)
+        for algorithm, polynomial in zip(algorithms, polynomials):
+            exact = []
+            for row in rows:
+                instance = tuple(row)
+                flops = polynomial.size_hint(instance)
+                assert flops == algorithm.flops(instance), algorithm.name
+                assert flops == sum(
+                    call.flops for call in algorithm.kernel_calls(instance)
+                ), algorithm.name
+                exact.append(flops)
+            assert algorithm.flops_batch(arr).tolist() == exact, (
+                algorithm.name
+            )
+
+    check()

@@ -2,8 +2,10 @@
 
 The scheduler (:mod:`repro.expressions.scheduler`) reorders plan steps
 for the non-default machine schedules (``min-``/``max-interference``):
-deterministic, cache-backed, scalar/batch consistent.  Under the
-default schedule it is the identity.
+deterministic, cache-backed, scalar/batch consistent, and a valid
+evaluation order (a plan run in the chosen order equals
+``Plan.execute`` bit for bit).  Under the default schedule it is the
+identity.
 
 The machine measures every algorithm run through one fused
 noise/median pass; it must equal the per-call measurement loop
@@ -11,6 +13,7 @@ written out below bit for bit.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +33,14 @@ from repro.expressions.scheduler import (
 from repro.kernels.types import batch_kernel_calls
 from repro.machine.machine import SCHEDULES
 from repro.machine.presets import paper_machine
+
+#: The registered families plus two pattern-compiled ones (sum6 runs
+#: the cost-guided pruning pass and carries a GEMM accumulation;
+#: addchain4 is a pure ADD chain).
+FAMILIES = (
+    "aatb", "chain4", "gram3", "tri4", "sum3", "addchain3", "solve3",
+    "sum6", "addchain4",
+)
 
 
 def _per_call_loop(machine, calls, context, with_interference):
@@ -84,6 +95,64 @@ def test_fused_measurement_bit_equal_to_per_call_loop(family):
                 oracle, batch_kernel_calls(scalar_calls, 1), name, True
             )[0]
         )
+
+
+def _reordered(plan, order):
+    """``plan`` with its steps run in ``order``, step refs remapped."""
+    position = {old: new for new, old in enumerate(order)}
+
+    def remap(ref):
+        if ref is None or not ref.is_step:
+            return ref
+        return replace(ref, index=position[ref.index])
+
+    steps = tuple(
+        replace(
+            plan.steps[index],
+            left=remap(plan.steps[index].left),
+            right=remap(plan.steps[index].right),
+            accumulate=(
+                None
+                if plan.steps[index].accumulate is None
+                else position[plan.steps[index].accumulate]
+            ),
+        )
+        for index in order
+    )
+    return replace(plan, steps=steps)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reordered_plans_execute_bit_equal_to_plan_execute(family):
+    expression = get_expression(family)
+    machines = [
+        paper_machine(seed=0, schedule=schedule)
+        for schedule in ("min-interference", "max-interference")
+    ]
+    rng = random.Random(11)
+    instances = [
+        tuple(rng.randint(2, 24) for _ in range(expression.n_dims))
+        for _ in range(3)
+    ]
+    for plan in expression.plans():
+        last = len(plan.steps) - 1
+        for machine in machines:
+            order, _ = schedule_order(plan, machine)
+            assert sorted(order) == list(range(len(plan.steps)))
+            # Every value is produced before it is read, and the
+            # result step still runs last.
+            for p, index in enumerate(order):
+                assert set(step_reads(plan.steps[index])) <= set(order[:p])
+            assert order[-1] == last
+            reordered = _reordered(plan, order)
+            for i, instance in enumerate(instances):
+                operands = expression.make_operands(
+                    instance, np.random.default_rng(23 + i)
+                )
+                reference = plan.execute(operands)
+                result = reordered.execute(operands)
+                assert result.dtype == reference.dtype
+                assert np.array_equal(result, reference)
 
 
 def test_step_reads_dependency_graph():
