@@ -89,8 +89,10 @@ def trace_line(
     batch = evaluate_instances(backend, algorithms, instances)
     verdicts = classify_batch(batch, threshold=threshold)
     peak = backend.peak_flops
-    for row, (position, verdict) in enumerate(zip(positions, verdicts)):
-        if verdict.is_anomaly:
+    for row, (position, is_anomaly) in enumerate(
+        zip(positions, verdicts.is_anomaly)
+    ):
+        if is_anomaly:
             anomalous.add(position)
         evaluation = batch.evaluation(row)
         cheapest = set(evaluation.cheapest_indices())

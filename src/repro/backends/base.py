@@ -11,12 +11,15 @@ A backend answers three timing questions:
 
 Each question also has a batch form (``time_algorithms``,
 ``time_kernels``, ``predict_times``) taking many instances at once and
-returning a float64 array.  The defaults below answer a batch with a
-scalar loop, so a backend only has to implement the per-instance
-protocol — :class:`repro.backends.real.RealBlasBackend` times real
-BLAS calls one at a time, unchanged — while
+returning a float64 array, and the algorithm questions a matrix form
+(``time_algorithms_matrix``, ``predict_times_matrix``) answering every
+algorithm of an expression at once, one column each.  The defaults
+below answer a batch with a scalar loop and a matrix by stacking batch
+calls, so a backend only has to implement the per-instance protocol —
+:class:`repro.backends.real.RealBlasBackend` times real BLAS calls one
+at a time, unchanged — while
 :class:`repro.backends.simulated.SimulatedBackend` overrides the batch
-methods with fully vectorized evaluation.
+and matrix methods with fully vectorized evaluation.
 
 Experiment code is backend-agnostic: everything under
 :mod:`repro.core`, :mod:`repro.experiments` and :mod:`repro.analysis`
@@ -74,6 +77,16 @@ class Backend(abc.ABC):
         return np.array(
             [self.time_algorithm(algorithm, inst) for inst in instances],
             dtype=np.float64,
+        )
+
+    def time_algorithms_matrix(
+        self,
+        algorithms: Sequence[Algorithm],
+        instances: Sequence[Sequence[int]],
+    ) -> np.ndarray:
+        """``(n, A)`` measured times, one column per algorithm."""
+        return np.stack(
+            [self.time_algorithms(a, instances) for a in algorithms], axis=1
         )
 
     def time_kernels(
@@ -134,8 +147,9 @@ class Backend(abc.ABC):
         into its noise stream, so
         :meth:`repro.backends.simulated.SimulatedBackend.predict_times_matrix`
         overrides this method.  It keeps every column equal to the
-        per-algorithm :meth:`predict_times` and runs all algorithms'
-        misses through one noise pass.
+        per-algorithm :meth:`predict_times`, looks each instance row up
+        once for all the algorithms and runs all their misses through
+        one noise pass.
         """
         timed: Dict[_CallKey, float] = {}
         return np.stack(

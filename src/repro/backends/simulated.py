@@ -3,16 +3,25 @@
 Delegates all timing to a :class:`repro.machine.machine.MachineModel`;
 see that module for the analytic effects (ramps, variant dispatch,
 thread balance, inter-kernel cache interference, noise).  Results are
-memoised in an array-backed store — the experiment pipelines revisit
-points constantly, and the model is stateless so memoisation is exact.
+memoised — the experiment pipelines revisit points constantly, and the
+model is stateless so memoisation is exact.
 
-The batch methods are the fast path: a whole batch of instances flows
-through the vectorized machine in one call.  An algorithm's kernel
-structure is instance-independent (only the dims vary), so the call
-sequence is built *once* by feeding the calls builder whole instance
-columns — the same polynomial machinery that serves the symbolic
-analysis — and stacking the resulting per-call dim columns into
-``(n, arity)`` matrices.
+The matrix methods are the fast path.  ``time_algorithms_matrix`` and
+``predict_times_matrix`` answer a whole ``(n, n_dims)`` instance batch
+for every algorithm of an expression: one memo keyed by ``(kind,
+distinct algorithm names)`` maps each instance row to one row of all
+the algorithms' values, so a batch costs one dict lookup per row, and
+the distinct missing rows of every algorithm go through one fused
+machine call (one noise/median pass).  ``time_algorithms``,
+``predict_times`` and ``time_kernels`` are the width-1 case.  An
+algorithm's kernel structure is instance-independent (only the dims
+vary), so its call sequence is built *once* per batch by feeding the
+calls builder whole instance columns.
+
+The scalar methods (``time_algorithm``, ``predict_time``,
+``time_kernel``) keep their own one-instance machine path — the oracle
+the batch paths are tested against — and share the width-1 memos.
+All memos together are bounded by :data:`_MEMO_MAX_BYTES`.
 """
 
 from __future__ import annotations
@@ -28,81 +37,46 @@ from repro.kernels.types import KernelCallBatch, KernelName
 from repro.machine.machine import MachineModel
 
 
-class _ArrayMemo:
-    """Append-only float64 store indexed by instance-row byte keys.
+#: Byte budget of all of a backend's memos together (row keys plus
+#: value rows).  Past it every memo is cleared, which is exact because
+#: the model is stateless; it only bounds the long-lived service, whose
+#: random-dims requests almost never hit.  Full-scale studies stay well
+#: below it, so none clears mid-run: under 2 MiB for each registered
+#: family on the paper box, 7.7 MiB for ``sum4``, 42 MiB for the
+#: largest measured (``chain6`` on ``huge_box``).
+_MEMO_MAX_BYTES = 64 * 1024 * 1024
 
-    Values live in one contiguous array so a batch lookup is a single
-    vectorized gather; the dict maps each key (the raw little-endian
-    int64 bytes of an instance row) to its row index only.
+
+class _RowMemo:
+    """Append-only ``(rows, width)`` float64 store indexed by row keys.
+
+    One memo serves one ``(kind, names)`` pair: the dict maps each
+    instance row's key (its raw little-endian int64 bytes) to a row of
+    ``values`` holding all ``width`` names' results, so a batch does
+    one dict lookup per row whatever its width.
     """
 
-    __slots__ = ("_index", "_values", "_size")
+    __slots__ = ("index", "values", "size")
 
-    def __init__(self) -> None:
-        self._index: Dict[bytes, int] = {}
-        self._values = np.empty(1024, dtype=np.float64)
-        self._size = 0
+    def __init__(self, width: int) -> None:
+        self.index: Dict[bytes, int] = {}
+        self.values = np.empty((64, width), dtype=np.float64)
+        self.size = 0
 
-    def __len__(self) -> int:
-        return self._size
-
-    def get(self, key: bytes) -> Optional[float]:
-        row = self._index.get(key)
-        return None if row is None else float(self._values[row])
-
-    def _reserve(self, extra: int) -> None:
-        needed = self._size + extra
-        capacity = self._values.shape[0]
+    def append(self, keys: Sequence[bytes], values: np.ndarray) -> None:
+        """Store the rows of distinct fresh ``keys``."""
+        size = self.size
+        needed = size + len(keys)
+        capacity = self.values.shape[0]
         if needed > capacity:
             while capacity < needed:
                 capacity *= 2
-            grown = np.empty(capacity, dtype=np.float64)
-            grown[: self._size] = self._values[: self._size]
-            self._values = grown
-
-    def put(self, key: bytes, value: float) -> None:
-        if key in self._index:
-            return
-        self._reserve(1)
-        self._values[self._size] = value
-        self._index[key] = self._size
-        self._size += 1
-
-    def put_many(self, keys: Sequence[bytes], values: np.ndarray) -> None:
-        """Insert distinct fresh keys with their computed values."""
-        self._reserve(len(keys))
-        index, size = self._index, self._size
-        self._values[size:size + len(keys)] = values
-        for key in keys:
-            index[key] = size
-            size += 1
-        self._size = size
-
-    def lookup(self, keys: Sequence[bytes]):
-        """Rows per key (-1 where missing), the missing positions, and
-        each distinct missing key's first position."""
-        index = self._index
-        rows = np.fromiter(
-            (index.get(key, -1) for key in keys),
-            dtype=np.int64,
-            count=len(keys),
-        )
-        missing = np.nonzero(rows < 0)[0].tolist()
-        first_seen: Dict[bytes, int] = {}
-        for position in missing:
-            first_seen.setdefault(keys[position], position)
-        return rows, missing, first_seen
-
-    def complete(self, rows, missing, keys, first_seen, values) -> None:
-        """Store the computed ``values`` of the distinct missing keys
-        and point their ``rows`` at them."""
-        self.put_many(list(first_seen), values)
-        index = self._index
-        for position in missing:
-            rows[position] = index[keys[position]]
-
-    def gather(self, rows: np.ndarray) -> np.ndarray:
-        return self._values[rows]
+            grown = np.empty((capacity, self.values.shape[1]))
+            grown[:size] = self.values[:size]
+            self.values = grown
+        self.values[size:needed] = values
+        self.index.update(zip(keys, range(size, needed)))
+        self.size = needed
 
 
 def _row_keys(arr: np.ndarray) -> List[bytes]:
@@ -125,54 +99,114 @@ class SimulatedBackend(Backend):
 
             machine = paper_machine()
         self.machine = machine
-        self._memos: Dict[Tuple[str, str], _ArrayMemo] = {}
-
-    def _memo(self, kind: str, name: str) -> _ArrayMemo:
-        memo = self._memos.get((kind, name))
-        if memo is None:
-            memo = self._memos[(kind, name)] = _ArrayMemo()
-        return memo
+        self._memos: Dict[Tuple[str, Tuple[str, ...]], _RowMemo] = {}
+        self._memo_bytes = 0
 
     @property
     def peak_flops(self) -> float:
         return self.machine.peak_flops
 
     # ------------------------------------------------------------------
-    # Scalar protocol
+    # Memos
     # ------------------------------------------------------------------
 
-    def time_algorithm(self, algorithm: Algorithm, instance: Sequence[int]) -> float:
-        memo = self._memo("time", algorithm.name)
+    def _memo(
+        self, kind: str, names: Tuple[str, ...], rows: int, key_bytes: int
+    ) -> _RowMemo:
+        """The ``(kind, names)`` memo, with room for ``rows`` more rows.
+
+        Every memo is cleared first when that many fresh rows could take
+        them past :data:`_MEMO_MAX_BYTES`, so a batch never loses its
+        memo between lookup and store.
+        """
+        row_bytes = key_bytes + 8 * len(names)
+        if self._memo_bytes + rows * row_bytes > _MEMO_MAX_BYTES:
+            self._memos.clear()
+            self._memo_bytes = 0
+        memo = self._memos.get((kind, names))
+        if memo is None:
+            memo = self._memos[(kind, names)] = _RowMemo(len(names))
+        return memo
+
+    def _store(self, memo: _RowMemo, keys: List[bytes], values) -> None:
+        memo.append(keys, values)
+        row_bytes = len(keys[0]) + 8 * memo.values.shape[1]
+        self._memo_bytes += len(keys) * row_bytes
+
+    def _memoised_rows(
+        self, kind: str, names: Tuple[str, ...], arr: np.ndarray, compute
+    ) -> np.ndarray:
+        """``(n, len(names))`` memo rows of ``arr``, computing the misses.
+
+        One dict lookup per row; ``compute`` maps the sub-matrix of the
+        distinct missing rows (in first-seen order) to their
+        ``(m, len(names))`` values and runs at most once.
+        """
+        if arr.shape[0] == 0:
+            return np.empty((0, len(names)))
+        keys = _row_keys(arr)
+        memo = self._memo(kind, names, len(keys), arr.shape[1] * 8)
+        get = memo.index.get
+        rows = [get(key, -1) for key in keys]
+        # Missing rows get the memo row their key will be stored at;
+        # a repeated missing key reuses its first occurrence's row.
+        fresh: Dict[bytes, int] = {}
+        first: List[int] = []
+        for position, row in enumerate(rows):
+            if row < 0:
+                next_row = memo.size + len(first)
+                row = fresh.setdefault(keys[position], next_row)
+                rows[position] = row
+                if row == next_row:
+                    first.append(position)
+        if first:
+            self._store(memo, list(fresh), compute(arr[first]))
+        return memo.values[rows]
+
+    def _memoised_scalar(
+        self, kind: str, name: str, instance: Sequence[int], compute
+    ) -> float:
         key = _instance_key(instance)
-        cached = memo.get(key)
-        if cached is None:
-            instance = tuple(int(d) for d in instance)
-            calls = self._scheduled(algorithm, algorithm.kernel_calls(instance))
-            cached = self.machine.measure_algorithm(calls, context=algorithm.name)
-            memo.put(key, cached)
-        return cached
+        memo = self._memo(kind, (name,), 1, len(key))
+        row = memo.index.get(key)
+        if row is not None:
+            return float(memo.values[row, 0])
+        value = compute()
+        self._store(memo, [key], value)
+        return value
+
+    # ------------------------------------------------------------------
+    # Scalar protocol — one-instance machine path
+    # ------------------------------------------------------------------
+
+    def _algorithm_scalar(
+        self, kind: str, measure, algorithm: Algorithm, instance
+    ) -> float:
+        def compute() -> float:
+            calls = algorithm.kernel_calls(tuple(int(d) for d in instance))
+            return measure(
+                self._scheduled(algorithm, calls), context=algorithm.name
+            )
+
+        return self._memoised_scalar(kind, algorithm.name, instance, compute)
+
+    def time_algorithm(self, algorithm: Algorithm, instance: Sequence[int]) -> float:
+        return self._algorithm_scalar(
+            "time", self.machine.measure_algorithm, algorithm, instance
+        )
 
     def predict_time(self, algorithm: Algorithm, instance: Sequence[int]) -> float:
-        memo = self._memo("predict", algorithm.name)
-        key = _instance_key(instance)
-        cached = memo.get(key)
-        if cached is None:
-            instance = tuple(int(d) for d in instance)
-            calls = self._scheduled(algorithm, algorithm.kernel_calls(instance))
-            cached = self.machine.predict_algorithm(calls, context=algorithm.name)
-            memo.put(key, cached)
-        return cached
+        return self._algorithm_scalar(
+            "predict", self.machine.predict_algorithm, algorithm, instance
+        )
 
     def time_kernel(self, kernel: KernelName, dims: Sequence[int]) -> float:
-        memo = self._memo("kernel", kernel.value)
-        key = _instance_key(dims)
-        cached = memo.get(key)
-        if cached is None:
-            cached = self.machine.measure_kernel(
+        return self._memoised_scalar(
+            "kernel", kernel.value, dims,
+            lambda: self.machine.measure_kernel(
                 kernel, tuple(int(d) for d in dims)
-            )
-            memo.put(key, cached)
-        return cached
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Batch protocol — vectorized through the machine
@@ -206,37 +240,64 @@ class SimulatedBackend(Backend):
             return batches
         return scheduled_call_batches(algorithm, batches, self.machine)
 
-    def _memoised_batch(
-        self,
-        memo: _ArrayMemo,
-        arr: np.ndarray,
-        compute,
+    def _algorithms_matrix(
+        self, kind: str, algorithms: Sequence[Algorithm], instances, fused
     ) -> np.ndarray:
-        """Gather ``arr`` rows from ``memo``, batch-computing the misses.
+        """``(n, A)`` values of ``kind`` through one memo and, for all
+        the misses, one ``fused`` machine call (see the module
+        docstring).  Ids keep each algorithm's own noise context and
+        scheduled call order, so every column equals the one-algorithm
+        call bit for bit."""
+        arr = self._instances_matrix(instances)
+        # Algorithms sharing a name share a column: the first one's
+        # values serve them all, as a per-name memo would.
+        distinct: Dict[str, Algorithm] = {}
+        for algorithm in algorithms:
+            distinct.setdefault(algorithm.name, algorithm)
+        if not distinct:
+            return np.empty((arr.shape[0], 0))
 
-        ``compute`` maps a sub-matrix of ``arr`` rows to values; each
-        distinct missing row is computed exactly once.
-        """
-        keys = _row_keys(arr)
-        rows, missing, first_seen = memo.lookup(keys)
-        if missing:
-            values = compute(arr[list(first_seen.values())])
-            memo.complete(rows, missing, keys, first_seen, values)
-        return memo.gather(rows)
+        def compute(sub: np.ndarray) -> np.ndarray:
+            return np.column_stack(fused([
+                (self._batched_calls(algorithm, sub), name)
+                for name, algorithm in distinct.items()
+            ]))
+
+        names = tuple(distinct)
+        values = self._memoised_rows(kind, names, arr, compute)
+        if len(names) == len(algorithms):
+            return values
+        column = {name: j for j, name in enumerate(names)}
+        return values[:, [column[a.name] for a in algorithms]]
+
+    def time_algorithms_matrix(
+        self,
+        algorithms: Sequence[Algorithm],
+        instances: Sequence[Sequence[int]],
+    ) -> np.ndarray:
+        """``(n, A)`` measured times with one noise pass for all the
+        misses (:meth:`MachineModel.measure_algorithms_batch`)."""
+        return self._algorithms_matrix(
+            "time", algorithms, instances,
+            self.machine.measure_algorithms_batch,
+        )
+
+    def predict_times_matrix(
+        self,
+        algorithms: Sequence[Algorithm],
+        instances: Sequence[Sequence[int]],
+    ) -> np.ndarray:
+        """``(n, A)`` predictions with one noise pass for all the misses
+        (:meth:`MachineModel.predict_algorithms_batch`)."""
+        return self._algorithms_matrix(
+            "predict", algorithms, instances,
+            self.machine.predict_algorithms_batch,
+        )
 
     def time_algorithms(
         self, algorithm: Algorithm, instances: Sequence[Sequence[int]]
     ) -> np.ndarray:
-        arr = self._instances_matrix(instances)
-        if arr.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self._memoised_batch(
-            self._memo("time", algorithm.name),
-            arr,
-            lambda sub: self.machine.measure_algorithm_batch(
-                self._batched_calls(algorithm, sub), context=algorithm.name
-            ),
-        )
+        return self.time_algorithms_matrix([algorithm], instances)[:, 0]
 
     def predict_times(
         self,
@@ -250,67 +311,7 @@ class SimulatedBackend(Backend):
         # context-dependent and cannot be shared across plans.  The
         # noise-free dedupe lives in MachineModel's base-seconds
         # cache instead.
-        arr = self._instances_matrix(instances)
-        if arr.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self._memoised_batch(
-            self._memo("predict", algorithm.name),
-            arr,
-            lambda sub: self.machine.predict_algorithm_batch(
-                self._batched_calls(algorithm, sub), context=algorithm.name
-            ),
-        )
-
-    def predict_times_matrix(
-        self,
-        algorithms: Sequence[Algorithm],
-        instances: Sequence[Sequence[int]],
-    ) -> np.ndarray:
-        """``(n, A)`` predictions with one noise pass for all the misses.
-
-        Each algorithm's memo rows are gathered as in
-        :meth:`predict_times`; the distinct missing rows of *every*
-        algorithm then go through one
-        :meth:`MachineModel.predict_algorithms_batch` call.  Ids keep
-        each algorithm's own noise context and scheduled call order, so
-        every column equals the per-algorithm :meth:`predict_times`
-        bit for bit, and the memos end up holding the same values.
-        """
-        arr = self._instances_matrix(instances)
-        out = np.empty((arr.shape[0], len(algorithms)))
-        if arr.shape[0] == 0:
-            return out
-        keys = _row_keys(arr)
-        # Algorithms sharing a name share a memo: the first one's
-        # column serves them all, as the sequential memo would.
-        first_column: Dict[str, int] = {}
-        pending = []
-        jobs = []
-        for j, algorithm in enumerate(algorithms):
-            if first_column.setdefault(algorithm.name, j) != j:
-                continue
-            memo = self._memo("predict", algorithm.name)
-            rows, missing, first_seen = memo.lookup(keys)
-            if missing:
-                sub = arr[list(first_seen.values())]
-                jobs.append(
-                    (self._batched_calls(algorithm, sub), algorithm.name)
-                )
-                pending.append((j, memo, rows, missing, first_seen))
-            else:
-                out[:, j] = memo.gather(rows)
-        if jobs:
-            computed = self.machine.predict_algorithms_batch(jobs)
-            for (j, memo, rows, missing, first_seen), values in zip(
-                pending, computed
-            ):
-                memo.complete(rows, missing, keys, first_seen, values)
-                out[:, j] = memo.gather(rows)
-        for j, algorithm in enumerate(algorithms):
-            first = first_column[algorithm.name]
-            if first != j:
-                out[:, j] = out[:, first]
-        return out
+        return self.predict_times_matrix([algorithm], instances)[:, 0]
 
     def time_kernels(
         self, kernel: KernelName, dims: Sequence[Sequence[int]]
@@ -320,10 +321,10 @@ class SimulatedBackend(Backend):
             raise ValueError(
                 f"dims must be a (n, arity) matrix, got shape {arr.shape!r}"
             )
-        if arr.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self._memoised_batch(
-            self._memo("kernel", kernel.value),
-            arr,
-            lambda sub: self.machine.measure_kernel_batch(kernel, sub),
-        )
+
+        def compute(sub: np.ndarray) -> np.ndarray:
+            return self.machine.measure_kernel_batch(kernel, sub)[:, None]
+
+        return self._memoised_rows(
+            "kernel", (kernel.value,), arr, compute
+        )[:, 0]

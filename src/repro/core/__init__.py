@@ -2,6 +2,7 @@
 
 from repro.core.classify import (
     BatchEvaluation,
+    BatchVerdicts,
     Evaluation,
     Verdict,
     classify,
@@ -13,6 +14,7 @@ from repro.core.searchspace import Box, paper_box
 
 __all__ = [
     "BatchEvaluation",
+    "BatchVerdicts",
     "Box",
     "Evaluation",
     "Verdict",

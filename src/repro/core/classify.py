@@ -17,17 +17,21 @@ Experiments 2–3.
 
 The batch entry points (:func:`evaluate_instances` /
 :func:`classify_batch`) evaluate whole instance sets at once through
-the backends' batch API and apply the rule above with row-wise array
-arithmetic.  Every operation is either exact (integer mins, masked
-selections, comparisons of values below 2**53) or the elementwise
-float64 op the scalar path performs, so a batched verdict equals the
-scalar verdict bit for bit.
+the backends' matrix API (one call for all the algorithms) and apply
+the rule above with row-wise array arithmetic.  Every operation is
+either exact (integer mins, masked selections, comparisons of values
+below 2**53) or the elementwise float64 op the scalar path performs,
+so a batched verdict equals the scalar verdict bit for bit.  The
+verdicts of a batch stay columnar (:class:`BatchVerdicts`): the hot
+loops read the anomaly flags and scores as plain lists, and a
+:class:`Verdict` is built only for the rows that ask for one — in
+practice, the anomalies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -203,7 +207,11 @@ def evaluate_instances(
     (vectorized on the simulated machine, a scalar loop otherwise).
     With ``predict=True`` the seconds are the benchmark-based
     predictions (``Backend.predict_times``) instead of whole-algorithm
-    measurements — Experiment 3's view of the same instances.
+    measurements — Experiment 3's view of the same instances.  Either
+    way it is one matrix call for all the algorithms, so the backend
+    can share work across plans: one memo lookup per row and one noise
+    pass on the simulated machine, one benchmark per distinct kernel
+    call on a real one.
     """
     arr = np.asarray(instances, dtype=np.int64)
     if arr.ndim != 2:
@@ -211,14 +219,9 @@ def evaluate_instances(
             f"instances must be a (n, n_dims) matrix, got shape {arr.shape!r}"
         )
     if predict:
-        # One matrix call so the backend can dedupe identical
-        # (kernel, dims) benchmarks across *plans*, not just within
-        # one plan's instances.
         seconds = backend.predict_times_matrix(algorithms, arr)
     else:
-        seconds = np.stack(
-            [backend.time_algorithms(a, arr) for a in algorithms], axis=1
-        )
+        seconds = backend.time_algorithms_matrix(algorithms, arr)
     return BatchEvaluation(
         instances=arr,
         algorithm_names=tuple(a.name for a in algorithms),
@@ -227,9 +230,69 @@ def evaluate_instances(
     )
 
 
+class BatchVerdicts(Sequence[Verdict]):
+    """The verdicts of one :class:`BatchEvaluation`, kept as columns.
+
+    ``is_anomaly``, ``time_scores`` and ``flop_scores`` are plain lists
+    with one entry per row.  Indexing builds row ``i``'s
+    :class:`Verdict` on demand; its ``cheapest``/``fastest`` name
+    tuples are interned by mask bit-pattern, since the same membership
+    patterns recur across most rows of a batch.
+    """
+
+    __slots__ = (
+        "is_anomaly", "time_scores", "flop_scores", "threshold",
+        "_names", "_cheap_mask", "_fast_mask", "_name_cache",
+    )
+
+    def __init__(
+        self,
+        is_anomaly: List[bool],
+        time_scores: List[float],
+        flop_scores: List[float],
+        threshold: float,
+        names: Tuple[str, ...],
+        cheap_mask: np.ndarray,
+        fast_mask: np.ndarray,
+    ) -> None:
+        self.is_anomaly = is_anomaly
+        self.time_scores = time_scores
+        self.flop_scores = flop_scores
+        self.threshold = threshold
+        self._names = names
+        self._cheap_mask = cheap_mask
+        self._fast_mask = fast_mask
+        self._name_cache: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.is_anomaly)
+
+    def __iter__(self) -> Iterator[Verdict]:
+        return (self[i] for i in range(len(self)))
+
+    def _names_for(self, mask_row: np.ndarray) -> Tuple[str, ...]:
+        key = mask_row.tobytes()
+        got = self._name_cache.get(key)
+        if got is None:
+            got = self._name_cache[key] = tuple(
+                self._names[j] for j in np.nonzero(mask_row)[0]
+            )
+        return got
+
+    def __getitem__(self, i: int) -> Verdict:
+        return Verdict(
+            is_anomaly=self.is_anomaly[i],
+            time_score=self.time_scores[i],
+            flop_score=self.flop_scores[i],
+            threshold=self.threshold,
+            cheapest=self._names_for(self._cheap_mask[i]),
+            fastest=self._names_for(self._fast_mask[i]),
+        )
+
+
 def classify_batch(
     batch: BatchEvaluation, threshold: float = 0.10
-) -> Tuple[Verdict, ...]:
+) -> BatchVerdicts:
     """Apply the paper's anomaly rule to every row of a batch."""
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
@@ -245,42 +308,12 @@ def classify_batch(
         flop_scores = np.where(
             f_fastest != 0, 1.0 - f_min / f_fastest, 0.0
         )
-    anomalies = time_scores > threshold
-    names = batch.algorithm_names
-
-    # The same cheapest/fastest membership patterns recur across most
-    # rows of a batch; intern the name tuples by mask bit-pattern.
-    # One ``tobytes`` per whole mask matrix (bool = 1 byte, C order)
-    # and per-row byte slices as cache keys — no per-row numpy calls
-    # on the hit path, and cheap/fast rows share one cache since the
-    # key width is the same.
-    width = len(names)
-    cheap_bytes = cheap_mask.tobytes()
-    fast_bytes = fast_mask.tobytes()
-    name_cache: dict = {}
-
-    def names_for(buffer: bytes, i: int, mask: np.ndarray) -> Tuple[str, ...]:
-        key = buffer[i * width:(i + 1) * width]
-        got = name_cache.get(key)
-        if got is None:
-            got = tuple(names[j] for j in np.nonzero(mask[i])[0])
-            name_cache[key] = got
-        return got
-
-    return tuple(
-        Verdict(
-            is_anomaly=is_anomaly,
-            time_score=time_score,
-            flop_score=flop_score,
-            threshold=threshold,
-            cheapest=names_for(cheap_bytes, i, cheap_mask),
-            fastest=names_for(fast_bytes, i, fast_mask),
-        )
-        for i, (is_anomaly, time_score, flop_score) in enumerate(
-            zip(
-                anomalies.tolist(),
-                time_scores.tolist(),
-                flop_scores.tolist(),
-            )
-        )
+    return BatchVerdicts(
+        is_anomaly=(time_scores > threshold).tolist(),
+        time_scores=time_scores.tolist(),
+        flop_scores=flop_scores.tolist(),
+        threshold=threshold,
+        names=batch.algorithm_names,
+        cheap_mask=cheap_mask,
+        fast_mask=fast_mask,
     )

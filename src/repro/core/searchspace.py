@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 PAPER_LOW = 20
 PAPER_HIGH = 1200
@@ -47,6 +47,32 @@ class Box:
         return tuple(
             rng.randint(lo, hi) for lo, hi in zip(self.lows, self.highs)
         )
+
+    def sample_many(
+        self, rng: random.Random, n: int
+    ) -> List[Tuple[int, ...]]:
+        """Exactly the tuples ``n`` calls of :meth:`sample` would draw.
+
+        Inlines CPython's ``randint``/``randrange`` rejection loop —
+        ``getrandbits(k)`` until the draw falls below the axis width,
+        ``k`` being the width's bit length — so the rng ends in the same
+        state too, without ``randint``'s three Python frames per value.
+        """
+        axes = [
+            (lo, hi - lo + 1, (hi - lo + 1).bit_length())
+            for lo, hi in zip(self.lows, self.highs)
+        ]
+        getrandbits = rng.getrandbits
+        samples = []
+        for _ in range(n):
+            instance = []
+            for lo, width, bits in axes:
+                r = getrandbits(bits)
+                while r >= width:
+                    r = getrandbits(bits)
+                instance.append(lo + r)
+            samples.append(tuple(instance))
+        return samples
 
     def contains(self, instance: Sequence[int]) -> bool:
         return len(instance) == self.n_dims and all(

@@ -4,13 +4,15 @@ Sample instances uniformly from the box, measure every equivalent
 algorithm, classify, and collect anomalies until a target count or a
 sample budget is reached.  Abundance is anomalies per sample drawn.
 
-Sampling proceeds in batches: a chunk of instances is drawn (in the
-same rng order a point-by-point loop would use), evaluated through the
-backend's batch API in one call, and the verdicts scanned in draw
-order — so results are identical for every ``batch_size``, including
-the degenerate scalar loop ``batch_size=1``.  When a target anomaly
-count is hit mid-chunk the scan stops exactly where the scalar loop
-would have, and the surplus evaluations only warm the backend memo.
+Sampling proceeds in batches: a chunk of instances is drawn
+(:meth:`Box.sample_many`, in the same rng order a point-by-point loop
+would use), evaluated through the backend's matrix API in one call,
+and the anomaly flags scanned in draw order — so results are identical
+for every ``batch_size``, including the degenerate scalar loop
+``batch_size=1``.  Only the anomalies get a :class:`Verdict` built.
+When a target anomaly count is hit mid-chunk the scan stops exactly
+where the scalar loop would have, and the surplus evaluations only
+warm the backend memo.
 """
 
 from __future__ import annotations
@@ -83,21 +85,26 @@ def random_search(
     done = target_anomalies is not None and target_anomalies <= 0
     while not done and n_samples < max_samples:
         chunk = min(batch_size, max_samples - n_samples)
-        instances = [box.sample(rng) for _ in range(chunk)]
+        instances = box.sample_many(rng, chunk)
         verdicts = classify_batch(
             evaluate_instances(backend, algorithms, instances),
             threshold=threshold,
         )
-        for instance, verdict in zip(instances, verdicts):
-            n_samples += 1
-            if verdict.is_anomaly:
-                anomalies.append(Anomaly(instance=instance, verdict=verdict))
-                if (
-                    target_anomalies is not None
-                    and len(anomalies) >= target_anomalies
-                ):
-                    done = True
-                    break
+        flagged = [i for i, hit in enumerate(verdicts.is_anomaly) if hit]
+        if (
+            target_anomalies is not None
+            and len(anomalies) + len(flagged) >= target_anomalies
+        ):
+            # Stop at the sample that reaches the target.
+            flagged = flagged[:target_anomalies - len(anomalies)]
+            n_samples += flagged[-1] + 1
+            done = True
+        else:
+            n_samples += chunk
+        anomalies.extend(
+            Anomaly(instance=instances[i], verdict=verdicts[i])
+            for i in flagged
+        )
     return SearchResult(
         expression=expression.name,
         threshold=threshold,

@@ -9,12 +9,13 @@ noise near the 5% threshold does not truncate a region.
 Each directed walk is a *ray* — the step positions from the origin
 toward the box face — evaluated in batched rounds: every round sends
 the next ``RAY_CHUNK`` steps of every still-live ray through the
-backend as one call, and holes are resolved post hoc: the verdicts
-are scanned in step order and the walk "stops" at exactly the
-position the step-by-step loop would have stopped at.  Up to a chunk
-of positions past the stop were still evaluated (they warm the
-backend's memo) but are not recorded as cells, so the result is
-identical to the scalar traversal.
+backend as one call, and holes are resolved post hoc: the anomaly
+flags (read from the batch's verdict columns) are scanned in step
+order and the walk "stops" at exactly the position the step-by-step
+loop would have stopped at.  Up to a chunk of positions past the stop
+were still evaluated (they warm the backend's memo) but are not
+recorded as cells, so the result is identical to the scalar
+traversal.
 
 The traversal yields, per region and dimension, the *extent* (the
 interval between extreme anomalous positions — its length is the
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.backends.base import Backend
-from repro.core.classify import Verdict, classify_batch, evaluate_instances
+from repro.core.classify import classify_batch, evaluate_instances
 from repro.core.searchspace import Box
 from repro.expressions.base import Expression
 
@@ -100,15 +101,17 @@ class _CellRecorder:
         self.cells: List[RegionCell] = []
         self._seen: Set[Tuple[int, ...]] = set()
 
-    def record(self, instance: Tuple[int, ...], verdict: Verdict) -> None:
+    def record(
+        self, instance: Tuple[int, ...], time_score: float, is_anomaly: bool
+    ) -> None:
         if instance in self._seen:
             return
         self._seen.add(instance)
         self.cells.append(
             RegionCell(
                 instance=instance,
-                time_score=verdict.time_score,
-                is_anomaly=verdict.is_anomaly,
+                time_score=time_score,
+                is_anomaly=is_anomaly,
             )
         )
 
@@ -132,37 +135,41 @@ class _Ray:
                 break
             positions.append(position)
         self.positions = tuple(positions)
-        self.verdicts: List[Verdict] = []
+        # Verdict columns of the evaluated prefix, in step order.
+        self.anomalous: List[bool] = []
+        self.time_scores: List[float] = []
         self._holes = 0
         self._stopped = not positions
 
     def instance_at(self, index: int) -> Tuple[int, ...]:
-        return tuple(
-            self.positions[index] if i == self.dim else v
-            for i, v in enumerate(self.origin)
-        )
+        origin, dim = self.origin, self.dim
+        return origin[:dim] + (self.positions[index],) + origin[dim + 1:]
 
     def next_chunk(self) -> List[Tuple[int, ...]]:
         """The instances of the next unevaluated chunk; [] when done."""
         if self._stopped:
             return []
-        start = len(self.verdicts)
+        start = len(self.anomalous)
         return [
             self.instance_at(i)
             for i in range(start, min(start + RAY_CHUNK, len(self.positions)))
         ]
 
-    def absorb(self, verdicts: Sequence[Verdict]) -> None:
-        """Take one chunk's verdicts and advance the hole-rule scan."""
-        for verdict in verdicts:
-            self.verdicts.append(verdict)
-            if verdict.is_anomaly:
+    def absorb(
+        self, anomalous: Sequence[bool], time_scores: Sequence[float]
+    ) -> None:
+        """Take one chunk's verdict columns and advance the hole-rule
+        scan."""
+        self.anomalous.extend(anomalous)
+        self.time_scores.extend(time_scores)
+        for is_anomaly in anomalous:
+            if is_anomaly:
                 self._holes = 0
             elif not self._stopped:
                 self._holes += 1
                 if self._holes > self.hole_tolerance:
                     self._stopped = True
-        if len(self.verdicts) == len(self.positions):
+        if len(self.anomalous) == len(self.positions):
             self._stopped = True
 
     def resolve(
@@ -176,9 +183,11 @@ class _Ray:
         """
         extreme = self.origin[self.dim]
         holes = 0
-        for index, verdict in enumerate(self.verdicts):
-            recorder.record(self.instance_at(index), verdict)
-            if verdict.is_anomaly:
+        for index, (is_anomaly, time_score) in enumerate(
+            zip(self.anomalous, self.time_scores)
+        ):
+            recorder.record(self.instance_at(index), time_score, is_anomaly)
+            if is_anomaly:
                 extreme = self.positions[index]
                 holes = 0
             else:
@@ -209,12 +218,15 @@ def explore_regions(
     algorithms = expression.algorithms()
     normalized = [tuple(int(v) for v in origin) for origin in origins]
     recorder = _CellRecorder()
-    origin_verdicts: Tuple[Verdict, ...] = ()
+    origin_anomalous: List[bool] = []
+    origin_scores: List[float] = []
     if normalized:
         origin_verdicts = classify_batch(
             evaluate_instances(backend, algorithms, normalized),
             threshold=threshold,
         )
+        origin_anomalous = origin_verdicts.is_anomaly
+        origin_scores = origin_verdicts.time_scores
     # Trace every walk of every anomalous region, then evaluate the
     # rays in rounds: each round batches the next RAY_CHUNK steps of
     # every still-live ray through the backend in one call, and the
@@ -222,10 +234,10 @@ def explore_regions(
     # and stateless noise make the grouping invisible in the results —
     # only in the wall time.
     rays: Dict[Tuple[int, int, int], _Ray] = {}
-    for region_index, (origin, verdict) in enumerate(
-        zip(normalized, origin_verdicts)
+    for region_index, (origin, is_anomaly) in enumerate(
+        zip(normalized, origin_anomalous)
     ):
-        if verdict.is_anomaly:
+        if is_anomaly:
             for dim in traversal_dims:
                 for direction in (-1, +1):
                     rays[(region_index, dim, direction)] = _Ray(
@@ -246,15 +258,19 @@ def explore_regions(
         )
         offset = 0
         for ray, chunk in chunks:
-            ray.absorb(flat_verdicts[offset:offset + len(chunk)])
-            offset += len(chunk)
+            end = offset + len(chunk)
+            ray.absorb(
+                flat_verdicts.is_anomaly[offset:end],
+                flat_verdicts.time_scores[offset:end],
+            )
+            offset = end
     regions: List[Region] = []
-    for region_index, (origin, verdict) in enumerate(
-        zip(normalized, origin_verdicts)
+    for region_index, (origin, is_anomaly, time_score) in enumerate(
+        zip(normalized, origin_anomalous, origin_scores)
     ):
-        recorder.record(origin, verdict)
+        recorder.record(origin, time_score, is_anomaly)
         extents: Dict[int, DimExtent] = {}
-        if verdict.is_anomaly:
+        if is_anomaly:
             for dim in traversal_dims:
                 lo = rays[(region_index, dim, -1)].resolve(
                     hole_tolerance, recorder

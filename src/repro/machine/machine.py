@@ -340,14 +340,6 @@ class MachineModel:
             for key, base in zip(keys, found)
         ]
 
-    def _algorithm_batch(
-        self,
-        calls: Sequence[KernelCallBatch],
-        context: str,
-        with_interference: bool,
-    ) -> np.ndarray:
-        return self._fused_batches([(calls, context)], with_interference)[0]
-
     def _fused_batches(
         self,
         jobs: Sequence[Tuple[Sequence[KernelCallBatch], str]],
@@ -366,8 +358,9 @@ class MachineModel:
         independently — and each run sums its calls' rows in its own
         sequential call order (never a pairwise ``np.sum`` reduction,
         which would reorder the float additions for k >= 8).  This
-        amortizes the per-call NumPy dispatch: the study hot loop fuses
-        one run's calls, benchmark-sum selection every algorithm's.
+        amortizes the per-call NumPy dispatch: the study hot loop and
+        benchmark-sum selection fuse every algorithm's calls of one
+        evaluation batch.
         """
         # Every call of every run as (context base, index, call,
         # previous call), runs as ranges over that flat list.
@@ -442,7 +435,7 @@ class MachineModel:
         algorithms sharing an identical kernel call still time it
         independently, as they would on real hardware.
         """
-        return self._algorithm_batch(calls, context, with_interference=True)
+        return self.measure_algorithms_batch([(calls, context)])[0]
 
     def predict_algorithm_batch(
         self, calls: Sequence[KernelCallBatch], context: str = ""
@@ -453,7 +446,15 @@ class MachineModel:
         so the prediction error isolates exactly what isolated
         benchmarks cannot see — the inter-kernel cache effects.
         """
-        return self._algorithm_batch(calls, context, with_interference=False)
+        return self.predict_algorithms_batch([(calls, context)])[0]
+
+    def measure_algorithms_batch(
+        self, jobs: Sequence[Tuple[Sequence[KernelCallBatch], str]]
+    ) -> List[np.ndarray]:
+        """:meth:`measure_algorithm_batch` of many ``(calls, context)``
+        runs at once, each bit-equal to its own call, through one
+        noise/median pass (see :meth:`_fused_batches`)."""
+        return self._fused_batches(jobs, with_interference=True)
 
     def predict_algorithms_batch(
         self, jobs: Sequence[Tuple[Sequence[KernelCallBatch], str]]
