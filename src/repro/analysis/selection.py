@@ -62,7 +62,7 @@ def selection_quality(
     total_regret = 0.0
     worst_regret = -1.0
     worst_instance: Optional[Tuple[int, ...]] = None
-    instances = [box.sample(rng) for _ in range(n_instances)]
+    instances = box.sample_many(rng, n_instances)
     choices = discriminant.select_batch(algorithms, instances)
     batch = evaluate_instances(backend, algorithms, instances)
     t_chosen_all = batch.seconds[np.arange(len(instances)), choices]

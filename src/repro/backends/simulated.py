@@ -37,14 +37,27 @@ from repro.kernels.types import KernelCallBatch, KernelName
 from repro.machine.machine import MachineModel
 
 
-#: Byte budget of all of a backend's memos together (row keys plus
-#: value rows).  Past it every memo is cleared, which is exact because
-#: the model is stateless; it only bounds the long-lived service, whose
-#: random-dims requests almost never hit.  Full-scale studies stay well
-#: below it, so none clears mid-run: under 2 MiB for each registered
-#: family on the paper box, 7.7 MiB for ``sum4``, 42 MiB for the
-#: largest measured (``chain6`` on ``huge_box``).
-_MEMO_MAX_BYTES = 64 * 1024 * 1024
+#: Byte budget of all of a backend's memos together, each row counted
+#: by :func:`_row_cost`.  Past it every memo is cleared, which is exact
+#: because the model is stateless; it only bounds the long-lived
+#: service, whose random-dims requests almost never hit.  Full-scale
+#: studies stay below it, so none clears mid-run: under 7 MiB for each
+#: registered family on the paper box, 17 MiB for ``sum4``, 91 MiB for
+#: the largest measured (``chain6`` on ``huge_box``).
+_MEMO_MAX_BYTES = 128 * 1024 * 1024
+
+#: Per-row bytes a memo holds beyond the key bytes and the values: the
+#: ``bytes`` object header, the dict slot and its share of the table's
+#: slack, and the row-number int.  tracemalloc measures 94-117 B on
+#: CPython 3.11, depending on the dict's fill.
+_ROW_OVERHEAD_BYTES = 128
+
+
+def _row_cost(key_bytes: int, width: int) -> int:
+    """Bytes counted against the budget for one memo row: its key, the
+    fixed per-row overhead, and its ``width`` float64 values twice over,
+    since the doubling value array can be up to half empty."""
+    return key_bytes + _ROW_OVERHEAD_BYTES + 16 * width
 
 
 class _RowMemo:
@@ -119,8 +132,8 @@ class SimulatedBackend(Backend):
         them past :data:`_MEMO_MAX_BYTES`, so a batch never loses its
         memo between lookup and store.
         """
-        row_bytes = key_bytes + 8 * len(names)
-        if self._memo_bytes + rows * row_bytes > _MEMO_MAX_BYTES:
+        row_cost = _row_cost(key_bytes, len(names))
+        if self._memo_bytes + rows * row_cost > _MEMO_MAX_BYTES:
             self._memos.clear()
             self._memo_bytes = 0
         memo = self._memos.get((kind, names))
@@ -130,8 +143,8 @@ class SimulatedBackend(Backend):
 
     def _store(self, memo: _RowMemo, keys: List[bytes], values) -> None:
         memo.append(keys, values)
-        row_bytes = len(keys[0]) + 8 * memo.values.shape[1]
-        self._memo_bytes += len(keys) * row_bytes
+        row_cost = _row_cost(len(keys[0]), memo.values.shape[1])
+        self._memo_bytes += len(keys) * row_cost
 
     def _memoised_rows(
         self, kind: str, names: Tuple[str, ...], arr: np.ndarray, compute

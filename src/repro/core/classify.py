@@ -31,7 +31,7 @@ practice, the anomalies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple, overload
 
 import numpy as np
 
@@ -235,7 +235,7 @@ class BatchVerdicts(Sequence[Verdict]):
 
     ``is_anomaly``, ``time_scores`` and ``flop_scores`` are plain lists
     with one entry per row.  Indexing builds row ``i``'s
-    :class:`Verdict` on demand; its ``cheapest``/``fastest`` name
+    :class:`Verdict` on demand (a slice gives a list of them); its ``cheapest``/``fastest`` name
     tuples are interned by mask bit-pattern, since the same membership
     patterns recur across most rows of a batch.
     """
@@ -279,7 +279,15 @@ class BatchVerdicts(Sequence[Verdict]):
             )
         return got
 
-    def __getitem__(self, i: int) -> Verdict:
+    @overload
+    def __getitem__(self, i: int) -> Verdict: ...
+
+    @overload
+    def __getitem__(self, i: slice) -> List[Verdict]: ...
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
         return Verdict(
             is_anomaly=self.is_anomaly[i],
             time_score=self.time_scores[i],

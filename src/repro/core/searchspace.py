@@ -44,17 +44,16 @@ class Box:
 
     def sample(self, rng: random.Random) -> Tuple[int, ...]:
         """One uniform sample; deterministic given the caller's rng."""
-        return tuple(
-            rng.randint(lo, hi) for lo, hi in zip(self.lows, self.highs)
-        )
+        return self.sample_many(rng, 1)[0]
 
     def sample_many(
         self, rng: random.Random, n: int
     ) -> List[Tuple[int, ...]]:
-        """Exactly the tuples ``n`` calls of :meth:`sample` would draw.
+        """``n`` uniform samples, drawn axis by axis in sample order.
 
-        Inlines CPython's ``randint``/``randrange`` rejection loop —
-        ``getrandbits(k)`` until the draw falls below the axis width,
+        Each value is exactly what ``rng.randint(lo, hi)`` would return:
+        this inlines CPython's ``randint``/``randrange`` rejection loop
+        — ``getrandbits(k)`` until the draw falls below the axis width,
         ``k`` being the width's bit length — so the rng ends in the same
         state too, without ``randint``'s three Python frames per value.
         """

@@ -99,6 +99,9 @@ def test_batch_rows_and_verdicts_equal_scalar_for_every_family(preset):
             [v.flop_score for v in materialised]
         )
         assert all(v.threshold == threshold for v in materialised)
+        # Slices materialise row by row, like a list of the verdicts.
+        assert verdicts[1:3] == materialised[1:3]
+        assert verdicts[::-2] == materialised[::-2]
 
     check()
 
@@ -134,3 +137,7 @@ def test_sample_many_equals_randint_loop(box, seed, n):
     assert box.sample_many(rng, n) == expected
     # Same draws consumed: the next value of either rng agrees.
     assert rng.getstate() == oracle.getstate()
+    # ``sample`` is the one-sample case of the same draw.
+    single = random.Random(seed)
+    assert [box.sample(single) for _ in range(n)] == expected
+    assert single.getstate() == oracle.getstate()

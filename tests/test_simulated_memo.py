@@ -8,6 +8,8 @@ a backend share one byte budget and are cleared past it, which must
 change no value.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -136,9 +138,11 @@ def test_scalar_paths_share_the_width_one_memo():
 
 
 def memo_bytes_held(backend):
-    """Keys plus value rows actually held by every memo."""
+    """The budgeted cost of the rows every memo actually holds."""
     return sum(
-        memo.size * (len(next(iter(memo.index))) + 8 * memo.values.shape[1])
+        memo.size * simulated._row_cost(
+            len(next(iter(memo.index))), memo.values.shape[1]
+        )
         for memo in backend._memos.values()
         if memo.size
     )
@@ -172,6 +176,32 @@ def test_memo_budget_bounds_bytes_and_keeps_values(monkeypatch):
         )
         assert scalar == oracle.time_algorithm(algorithms[1], instances[0])
         assert backend._memo_bytes == memo_bytes_held(backend) <= budget
-        stored += 2 * len(instances) * (24 + 8 * len(algorithms))
+        stored += 2 * len(instances) * simulated._row_cost(24, len(algorithms))
     # The budget really was exceeded many times over, and cleared.
     assert stored > 10 * budget
+
+
+@pytest.mark.parametrize("n_dims, width", [(3, 1), (3, 6), (6, 42)])
+def test_memo_row_cost_bounds_traced_bytes(n_dims, width):
+    """The budget's per-row cost is an upper bound on what a memo
+    really allocates: keys, dict slots, row ints and the value array."""
+    import tracemalloc
+
+    rows = 20_000
+    arr = np.random.default_rng(0).integers(
+        1, 10**6, size=(rows, n_dims), dtype=np.int64
+    )
+    keys = simulated._row_keys(arr)
+    tracemalloc.start()
+    try:
+        memo = simulated._RowMemo(width)
+        for start in range(0, rows, 500):
+            chunk = keys[start:start + 500]
+            memo.append(chunk, np.zeros((len(chunk), width)))
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Keys were allocated before tracing started; count them back in.
+    traced += sum(sys.getsizeof(key) for key in keys)
+    assert memo.size == rows
+    assert traced <= rows * simulated._row_cost(8 * n_dims, width)
