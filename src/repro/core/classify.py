@@ -235,9 +235,10 @@ class BatchVerdicts(Sequence[Verdict]):
 
     ``is_anomaly``, ``time_scores`` and ``flop_scores`` are plain lists
     with one entry per row.  Indexing builds row ``i``'s
-    :class:`Verdict` on demand (a slice gives a list of them); its ``cheapest``/``fastest`` name
-    tuples are interned by mask bit-pattern, since the same membership
-    patterns recur across most rows of a batch.
+    :class:`Verdict` on demand (a slice gives a list of them); its
+    ``cheapest``/``fastest`` name tuples are interned by mask
+    bit-pattern, since the same membership patterns recur across most
+    rows of a batch.
     """
 
     __slots__ = (
