@@ -10,7 +10,7 @@ but not enforced (there is nothing to parallelize onto).
 
 import os
 
-from repro.figures.cache import JsonDirectoryStore, StudyKey
+from repro.figures.cache import StudyStore
 from repro.runner import StudyRunner, study_matrix
 
 MIN_PARALLEL_SPEEDUP = 2.5
@@ -32,16 +32,12 @@ def test_parallel_runner_matches_sequential_and_scales(
 ):
     keys = _matrix(fig_config)
 
-    sequential = StudyRunner(
-        cache_dir=tmp_path / "seq", store="json", jobs=1
-    )
+    sequential = StudyRunner(cache_dir=tmp_path / "seq", jobs=1)
     seq_report = sequential.run(keys)
     assert seq_report.ok
     assert seq_report.count("computed") == len(keys)
 
-    parallel = StudyRunner(
-        cache_dir=tmp_path / "par", store="json", jobs=PARALLEL_JOBS
-    )
+    parallel = StudyRunner(cache_dir=tmp_path / "par", jobs=PARALLEL_JOBS)
     par_report = run_once(lambda: parallel.run(keys))
     assert par_report.ok
     assert par_report.count("computed") == len(keys)
@@ -56,8 +52,8 @@ def test_parallel_runner_matches_sequential_and_scales(
     )
 
     # Byte-identical payloads, whatever the partitioning.
-    seq_store = JsonDirectoryStore(tmp_path / "seq")
-    par_store = JsonDirectoryStore(tmp_path / "par")
+    seq_store = StudyStore(tmp_path / "seq")
+    par_store = StudyStore(tmp_path / "par")
     for key in keys:
         assert (
             seq_store.path_for(key).read_bytes()

@@ -21,10 +21,10 @@ Two entry points:
   rate floor scales with the machine via ``--min-rate-per-core``
   (effective floor = ``max(min_rate, min_rate_per_core * cores)``).
 
-The study store comes from ``REPRO_CACHE_DIR``/``REPRO_CACHE_STORE``
-(the CI job warms it with the parallel runner first); without one the
-engine computes its studies on startup, which skews only the setup
-time, never the measured request loop.
+The study store comes from ``REPRO_CACHE_DIR`` (the CI job warms it
+with the parallel runner first); without one the engine computes its
+studies on startup, which skews only the setup time, never the
+measured request loop.
 """
 
 from __future__ import annotations

@@ -12,10 +12,7 @@ Studies are shared through :func:`repro.figures.common.study_for`'s
 process-level cache, so the suite runs each experiment pipeline once
 per expression; set ``REPRO_CACHE_DIR`` to also share them *across*
 benchmark processes through the on-disk store — warmed most cheaply by
-the parallel runner (``python -m repro.runner``).  The store backend
-comes from ``REPRO_CACHE_STORE`` (``json`` default, ``sqlite`` for the
-shared-database layout); an invalid value aborts the run with a usage
-error before any pipeline starts.
+the parallel runner (``python -m repro.runner``).
 """
 
 from __future__ import annotations
@@ -24,17 +21,14 @@ import os
 
 import pytest
 
-from repro.figures.cache import store_kind_from_env
-from repro.figures.common import FigureConfig
-
-_SCALES = ("quick", "full")
+from repro.figures.common import SCALES, FigureConfig
 
 
 def parse_bench_scale(raw: str) -> str:
     value = raw.strip().lower()
-    if value not in _SCALES:
+    if value not in SCALES:
         raise pytest.UsageError(
-            f"REPRO_BENCH_SCALE must be one of {'/'.join(_SCALES)}, "
+            f"REPRO_BENCH_SCALE must be one of {'/'.join(SCALES)}, "
             f"got {raw!r}"
         )
     return value
@@ -49,19 +43,10 @@ def parse_bench_seed(raw: str) -> int:
         ) from None
 
 
-def parse_cache_store() -> str:
-    """Validate ``REPRO_CACHE_STORE`` before any study pipeline runs."""
-    try:
-        return store_kind_from_env()
-    except ValueError as exc:
-        raise pytest.UsageError(str(exc)) from None
-
-
 @pytest.fixture(scope="session")
 def fig_config() -> FigureConfig:
     scale = parse_bench_scale(os.environ.get("REPRO_BENCH_SCALE", "quick"))
     seed = parse_bench_seed(os.environ.get("REPRO_BENCH_SEED", "0"))
-    parse_cache_store()
     return FigureConfig(scale=scale, seed=seed)
 
 

@@ -12,7 +12,7 @@ near-free.  ``--report-dir`` additionally writes the canonical JSON
 and markdown artefacts (what CI archives); without it the markdown is
 only printed.
 
-Component names, expression names, scales, boxes and store kinds are
+Component names, expression names, scales and boxes are
 validated *up front*: a typo is an argparse usage error (exit 2)
 listing the valid names, never a KeyError traceback from the middle of
 a study run.  ``--list-components`` prints the registry and exits.
@@ -20,7 +20,8 @@ a study run.  ``--list-components`` prints the registry and exits.
 The exit code is ``1`` when a study failed, ``0`` otherwise.
 
 ``python -m repro.runner --ablation`` drives the same code path with
-the runner's store/jobs flags.
+the runner's jobs/cache-dir flags; the runner's CLI shares this
+module's validators.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ from repro.ablation.harness import (
 )
 from repro.ablation.report import report_markdown, write_report
 from repro.core.searchspace import NAMED_BOXES
-from repro.figures.cache import CACHE_DIR_ENV, STORE_KINDS
-
-_SCALES = ("quick", "full")
+from repro.figures.cache import CACHE_DIR_ENV
+from repro.figures.common import SCALES
 
 
 def validated_component(name: str) -> str:
@@ -71,7 +71,8 @@ def parse_components(raw: str) -> Tuple[str, ...]:
     return names
 
 
-def _validated_expression(name: str) -> str:
+def validated_expression(name: str) -> str:
+    """One expression name, or an argparse usage error with the help."""
     from repro.expressions.registry import (
         expression_name_help,
         is_known_expression,
@@ -87,7 +88,7 @@ def _validated_expression(name: str) -> str:
 
 def parse_expressions(raw: str) -> Tuple[str, ...]:
     names = tuple(
-        _validated_expression(part)
+        validated_expression(part)
         for part in raw.split(",")
         if part.strip()
     )
@@ -98,16 +99,10 @@ def parse_expressions(raw: str) -> Tuple[str, ...]:
     return names
 
 
-def _validated_store(kind: str) -> str:
-    normalized = kind.strip().lower()
-    if normalized not in STORE_KINDS:
-        raise argparse.ArgumentTypeError(
-            f"unknown store {kind!r}; known: {'/'.join(STORE_KINDS)}"
-        )
-    return normalized
+def positive_int(flag: str):
+    """An argparse type for ``flag``: an integer >= 1, else a usage
+    error (never a raw ValueError from deeper in the run)."""
 
-
-def _positive_int(flag: str):
     def parse(raw: str) -> int:
         try:
             value = int(raw)
@@ -132,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale",
-        choices=_SCALES,
+        choices=SCALES,
         default="quick",
         help="study scale (default: quick)",
     )
@@ -166,16 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=_positive_int("--jobs"),
+        type=positive_int("--jobs"),
         default=1,
         help="worker processes for the study matrix (default: 1)",
-    )
-    parser.add_argument(
-        "--store",
-        type=_validated_store,
-        default=STORE_KINDS[0],
-        metavar="{" + ",".join(STORE_KINDS) + "}",
-        help="study-store backend (default: json)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -214,7 +202,6 @@ def execute(
     expressions: Sequence[str],
     components: Optional[Sequence[str]],
     cache_dir: str,
-    store: str = "json",
     jobs: int = 1,
     report_dir: Optional[str] = None,
 ) -> int:
@@ -233,9 +220,7 @@ def execute(
         config_kwargs["components"] = tuple(components)
     config = AblationConfig(**config_kwargs)
     try:
-        report = run_ablation(
-            config, cache_dir=cache_dir, store=store, jobs=jobs
-        )
+        report = run_ablation(config, cache_dir=cache_dir, jobs=jobs)
     except AblationError as exc:
         print(f"error: {exc}")
         return 1
@@ -272,7 +257,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         expressions=args.expressions,
         components=args.components,
         cache_dir=cache_dir,
-        store=args.store,
         jobs=args.jobs,
         report_dir=args.report_dir,
     )

@@ -48,7 +48,7 @@ from repro.core.discriminants import (
 )
 from repro.experiments.regions import Regions
 from repro.expressions.base import Expression
-from repro.figures.cache import StudyKey, make_store
+from repro.figures.cache import StudyKey, StudyStore
 from repro.figures.common import FigureConfig
 from repro.profiles.benchmark import standard_profiles
 from repro.runner.runner import RunReport, StudyRunner
@@ -353,7 +353,6 @@ def compute_deltas(
 def run_ablation(
     config: AblationConfig,
     cache_dir: Union[str, Path],
-    store: str = "json",
     jobs: int = 1,
 ) -> AblationReport:
     """Run the full baseline-plus-one-off matrix and build the report.
@@ -365,7 +364,7 @@ def run_ablation(
     components on partial data.
     """
     keys = config.study_keys()
-    runner = StudyRunner(cache_dir=Path(cache_dir), store=store, jobs=jobs)
+    runner = StudyRunner(cache_dir=Path(cache_dir), jobs=jobs)
     run_report = runner.run(keys)
     failed = [o for o in run_report.outcomes if o.status == "failed"]
     if failed:
@@ -377,14 +376,14 @@ def run_ablation(
         )
 
     studies: Dict[StudyKey, dict] = {}
-    with make_store(store, cache_dir) as reader:
-        for key in keys:
-            study = reader.load(key)
-            if study is None:
-                raise AblationError(
-                    f"study {key.slug} missing from the store after the run"
-                )
-            studies[key] = study
+    reader = StudyStore(cache_dir)
+    for key in keys:
+        study = reader.load(key)
+        if study is None:
+            raise AblationError(
+                f"study {key.slug} missing from the store after the run"
+            )
+        studies[key] = study
 
     contexts: Dict[Tuple[str, str], _DetectionContext] = {}
 

@@ -1,4 +1,4 @@
-"""Study stores: the shared on-disk layer of the study cache.
+"""The study store: the shared on-disk layer of the study cache.
 
 A computed :class:`repro.figures.common.Study` is fully determined by
 its :class:`StudyKey` ``(scale, seed, expression, box, schedule)`` —
@@ -10,36 +10,24 @@ results can be persisted and reloaded across processes.  With
 :mod:`repro.runner` worker) costs one store read instead of the whole
 experiment pipeline.
 
-Persistence goes through the :class:`StudyStore` interface with two
-local backends (pick with ``REPRO_CACHE_STORE``):
+:class:`StudyStore` keeps one versioned JSON file per study.  Writes
+are atomic (temp file + ``os.replace``), so concurrent regenerations
+never observe a torn file; two racing writers of the same
+deterministic study simply replace one valid payload with an
+identical one.  ``load``/``save`` are the shared codec layered on the
+text primitives ``load_text``/``save_text``.
 
-* :class:`JsonDirectoryStore` (``json``, the default) — one versioned
-  JSON file per study.  Writes are atomic (temp file + ``os.replace``),
-  so concurrent regenerations never observe a torn file; two racing
-  writers of the same deterministic study simply replace one valid
-  payload with an identical one.
-* :class:`SqliteStudyStore` (``sqlite``) — one WAL-mode SQLite
-  database, one row per study key.  A fleet of
-  :class:`repro.runner.StudyRunner` workers shares it without
-  per-file races: readers never block, writers serialize on SQLite's
-  write lock with a generous busy timeout.
-
-Every backend moves *canonical payload text* — the base class
-implements ``load``/``save`` on top of ``load_text``/``save_text`` plus
-the shared codec — which is what keeps payloads byte-identical
-whichever backend carried them.
-
-The schema version participates in the store location (filename /
-database name) and the payload: bump :data:`SCHEMA_VERSION` whenever
-the serialized shape *or the semantics of the pipeline that produced
-it* change, and stale entries are simply never read again.  JSON
+The schema version participates in the filename and the payload:
+bump :data:`SCHEMA_VERSION` whenever the serialized shape *or the
+semantics of the pipeline that produced it* change, and stale entries
+are simply never read again.  JSON
 round-trips Python floats exactly (``repr`` shortest-float), so a
 loaded study is bit-for-bit the study that was saved — and because
 serialization is canonical (sorted nothing, insertion order, fixed
 separators), any two processes that computed the same study persist
 byte-identical payloads.
 
-Loads and saves are best-effort: a missing, truncated, or
+Loads and saves are best-effort: a missing, truncated, damaged or
 version-mismatched entry silently falls back to recomputation, and an
 unwritable store degrades to a no-op rather than failing the pipeline.
 """
@@ -48,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,12 +54,6 @@ SCHEMA_VERSION = 2
 #: Environment variable naming the cache directory; unset disables
 #: the disk layer.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable selecting the store backend (``json`` default).
-CACHE_STORE_ENV = "REPRO_CACHE_STORE"
-
-#: Valid values of :data:`CACHE_STORE_ENV`; each targets a directory.
-STORE_KINDS = ("json", "sqlite")
 
 
 @dataclass(frozen=True, order=True)
@@ -109,18 +90,6 @@ class StudyKey:
 def cache_dir_from_env() -> Optional[Path]:
     value = os.environ.get(CACHE_DIR_ENV, "").strip()
     return Path(value) if value else None
-
-
-def store_kind_from_env() -> str:
-    value = os.environ.get(CACHE_STORE_ENV, "").strip().lower()
-    if not value:
-        return STORE_KINDS[0]
-    if value not in STORE_KINDS:
-        raise ValueError(
-            f"{CACHE_STORE_ENV} must be one of {'/'.join(STORE_KINDS)}, "
-            f"got {value!r}"
-        )
-    return value
 
 
 def study_path(cache_dir: Path, key: StudyKey) -> Path:
@@ -286,7 +255,7 @@ def _confusion_from_payload(payload: dict) -> ConfusionMatrix:
 
 
 # ----------------------------------------------------------------------
-# Canonical study codec (shared by every store backend)
+# Canonical study codec
 # ----------------------------------------------------------------------
 
 
@@ -301,7 +270,7 @@ def encode_study(
 
     Fixed field order + fixed separators: two processes that computed
     the same deterministic study encode byte-identical text, whichever
-    store backend (or worker) persists it.
+    worker persists it.
     """
     payload = {
         "schema": SCHEMA_VERSION,
@@ -329,7 +298,12 @@ def encode_study(
 
 
 def decode_study(text: str, key: StudyKey) -> Optional[dict]:
-    """Parse and validate study text; None on any mismatch."""
+    """Parse and validate study text; None on any mismatch or damage.
+
+    Damage that gets past the JSON parser is a miss too: a number
+    that parses to ``inf`` fails ``int()`` with ``OverflowError``, and
+    deeply nested brackets exhaust the parser with ``RecursionError``.
+    """
     try:
         payload = json.loads(text)
         if not isinstance(payload, dict) or (
@@ -348,38 +322,70 @@ def decode_study(text: str, key: StudyKey) -> Optional[dict]:
             "prediction": _prediction_from_payload(payload["prediction"]),
             "confusion": _confusion_from_payload(payload["confusion"]),
         }
-    except (ValueError, KeyError, TypeError, AttributeError):
+    except (
+        ValueError,
+        KeyError,
+        TypeError,
+        AttributeError,
+        OverflowError,
+        RecursionError,
+    ):
         return None
 
 
 # ----------------------------------------------------------------------
-# Store backends
+# The store
 # ----------------------------------------------------------------------
 
 
 class StudyStore:
-    """Keyed persistence for study results; load misses return None.
+    """Versioned JSON files, one per study, atomically replaced.
 
-    Implementations must be safe for many concurrent processes: a
-    reader never observes a torn payload, and racing writers of the
-    same key leave exactly one valid payload behind.  All operations
-    are best-effort — storage failures degrade to cache misses, never
-    to pipeline errors.
+    Load misses return None.  Safe for many concurrent processes: the
+    write goes to a ``mkstemp`` temp file in the same directory and
+    lands via ``os.replace``, which is atomic on POSIX and Windows —
+    concurrent readers see either no file, the old payload, or the new
+    payload, never a prefix — and racing writers of the same key leave
+    exactly one valid payload behind.  All operations are best-effort:
+    storage failures degrade to cache misses, never to pipeline
+    errors.
 
-    Backends implement the *text* primitives (``load_text`` /
-    ``save_text``); ``load``/``save`` are the canonical codec layered
-    on top, so every backend persists byte-identical payloads.
+    ``load``/``save`` are the canonical codec layered on the text
+    primitives ``load_text``/``save_text``.
     """
 
-    kind: str = ""
+    kind = "json"
+
+    def __init__(self, root: Union[str, Path]) -> None:
+        self.root = Path(root)
+
+    def path_for(self, key: StudyKey) -> Path:
+        return study_path(self.root, key)
 
     def load_text(self, key: StudyKey) -> Optional[str]:
         """The stored canonical payload text, or None on a miss."""
-        raise NotImplementedError
+        try:
+            return self.path_for(key).read_text()
+        except (OSError, UnicodeDecodeError):
+            return None
 
     def save_text(self, key: StudyKey, text: str) -> None:
         """Persist canonical payload text (best-effort)."""
-        raise NotImplementedError
+        path = self.path_for(key)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(
+                dir=str(self.root), prefix=path.name, suffix=".tmp"
+            )
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(text)
+                os.replace(tmp_name, path)
+            except BaseException:
+                os.unlink(tmp_name)
+                raise
+        except OSError:
+            return
 
     def load(self, key: StudyKey) -> Optional[dict]:
         # A corrupted or truncated entry decodes to None — a cache
@@ -400,158 +406,27 @@ class StudyStore:
         )
 
     def raw_payload(self, key: StudyKey) -> Optional[str]:
-        """The stored text for a key (testing / equality checks)."""
+        """The stored text for a key; the same as :meth:`load_text`."""
         return self.load_text(key)
-
-    def close(self) -> None:
-        pass
 
     def __enter__(self) -> "StudyStore":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class JsonDirectoryStore(StudyStore):
-    """Versioned JSON files, one per study, atomically replaced.
-
-    The write goes to a ``mkstemp`` temp file in the same directory and
-    lands via ``os.replace``, which is atomic on POSIX and Windows —
-    concurrent readers see either no file, the old payload, or the new
-    payload, never a prefix.
-    """
-
-    kind = "json"
-
-    def __init__(self, root: Path) -> None:
-        self.root = Path(root)
-
-    def path_for(self, key: StudyKey) -> Path:
-        return study_path(self.root, key)
-
-    def load_text(self, key: StudyKey) -> Optional[str]:
-        try:
-            return self.path_for(key).read_text()
-        except (OSError, UnicodeDecodeError):
-            return None
-
-    def save_text(self, key: StudyKey, text: str) -> None:
-        path = self.path_for(key)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(self.root), prefix=path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
-                os.replace(tmp_name, path)
-            except BaseException:
-                os.unlink(tmp_name)
-                raise
-        except OSError:
-            return
-
-
-class SqliteStudyStore(StudyStore):
-    """One WAL-mode SQLite database, one row per study key.
-
-    WAL lets any number of readers proceed while a writer commits;
-    writers serialize on the database write lock with a 30 s busy
-    timeout, so a fleet of runner workers can share one store without
-    the per-file open/replace races of a directory layout.  Saves are
-    idempotent upserts — the deterministic pipeline means two workers
-    racing on one key write identical payloads.
-    """
-
-    kind = "sqlite"
-    DB_NAME = f"studies-v{SCHEMA_VERSION}.sqlite"
-
-    def __init__(self, root: Path) -> None:
-        self.root = Path(root)
-        self._conn: Optional[sqlite3.Connection] = None
-
-    @property
-    def db_path(self) -> Path:
-        return self.root / self.DB_NAME
-
-    def _connect(self) -> Optional[sqlite3.Connection]:
-        if self._conn is not None:
-            return self._conn
-        conn = None
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(str(self.db_path), timeout=30.0)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            with conn:
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS studies ("
-                    "skey TEXT PRIMARY KEY, payload TEXT NOT NULL)"
-                )
-        except (sqlite3.Error, OSError):
-            if conn is not None:
-                conn.close()
-            return None
-        self._conn = conn
-        return conn
-
-    def load_text(self, key: StudyKey) -> Optional[str]:
-        conn = self._connect()
-        if conn is None:
-            return None
-        try:
-            row = conn.execute(
-                "SELECT payload FROM studies WHERE skey = ?", (key.slug,)
-            ).fetchone()
-        except sqlite3.Error:
-            return None
-        return None if row is None else row[0]
-
-    def save_text(self, key: StudyKey, text: str) -> None:
-        conn = self._connect()
-        if conn is None:
-            return
-        try:
-            with conn:
-                conn.execute(
-                    "INSERT INTO studies (skey, payload) VALUES (?, ?) "
-                    "ON CONFLICT(skey) DO UPDATE SET payload = excluded.payload",
-                    (key.slug, text),
-                )
-        except sqlite3.Error:
-            return
-
-    def close(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            finally:
-                self._conn = None
-
-
-_STORE_CLASSES = {"json": JsonDirectoryStore, "sqlite": SqliteStudyStore}
+        pass
 
 
 def make_store(kind: str, cache_dir: Union[str, Path]) -> StudyStore:
-    """Instantiate a store backend by name over its cache directory."""
-    store_class = _STORE_CLASSES.get(kind)
-    if store_class is None:
+    """The store over ``cache_dir``; ``kind`` must be ``"json"``."""
+    if kind != StudyStore.kind:
         raise ValueError(
-            f"unknown store kind {kind!r}; known: {'/'.join(STORE_KINDS)}"
+            f"unknown store kind {kind!r}; the only store is "
+            f"{StudyStore.kind!r}"
         )
-    return store_class(Path(cache_dir))
+    return StudyStore(cache_dir)
 
 
 def store_from_env() -> Optional[StudyStore]:
-    """The store selected by ``REPRO_CACHE_DIR``/``REPRO_CACHE_STORE``.
-
-    None when no cache directory is configured; raises ``ValueError``
-    on an invalid store kind (the benchmark conftest turns that into a
-    usage error before any pipeline runs).
-    """
+    """The store over ``REPRO_CACHE_DIR``; None when it is unset."""
     cache_dir = cache_dir_from_env()
-    if cache_dir is None:
-        return None
-    return make_store(store_kind_from_env(), cache_dir)
+    return None if cache_dir is None else StudyStore(cache_dir)

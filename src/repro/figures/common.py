@@ -11,12 +11,12 @@ regenerates.
 
 Setting ``REPRO_CACHE_DIR`` adds an on-disk layer underneath the
 process cache (see :mod:`repro.figures.cache`): studies computed by
-*any* process land in the configured :class:`~repro.figures.cache.StudyStore`
-(versioned-JSON directory by default, SQLite with
-``REPRO_CACHE_STORE=sqlite``), and later processes load them instead
-of recomputing — repeated artefact regeneration across benchmark runs
-becomes near-free, and :class:`repro.runner.StudyRunner` workers use
-the same store as their shared result channel.
+*any* process land in the :class:`~repro.figures.cache.StudyStore`
+there (one versioned JSON file per study), and later processes load
+them instead of recomputing — repeated artefact regeneration across
+benchmark runs becomes near-free, and
+:class:`repro.runner.StudyRunner` workers use the same store as their
+shared result channel.
 
 The exploration volume is a named box (``FigureConfig.box``,
 default ``paper_box`` = the paper's [20, 1200] per dim; see
@@ -46,7 +46,8 @@ SEARCH_THRESHOLD = 0.10
 #: Experiment-2/3 threshold (paper §4.2-4.3).
 REGION_THRESHOLD = 0.05
 
-_SCALES = ("quick", "full")
+#: The study scales: CI-sized ``quick`` and the paper's ``full``.
+SCALES = ("quick", "full")
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,9 @@ class FigureConfig:
     variant: str = "default"
 
     def __post_init__(self) -> None:
-        if self.scale not in _SCALES:
+        if self.scale not in SCALES:
             raise ValueError(
-                f"scale must be one of {_SCALES}, got {self.scale!r}"
+                f"scale must be one of {SCALES}, got {self.scale!r}"
             )
         if self.box not in NAMED_BOXES:
             raise ValueError(
@@ -220,8 +221,7 @@ def study_for(config: FigureConfig, expression_name: str) -> Study:
     store_key = config.study_key(expression_name)
 
     if store is not None:
-        with store:
-            loaded = store.load(store_key)
+        loaded = store.load(store_key)
         if loaded is not None:
             study = Study(
                 config=config,
@@ -249,8 +249,7 @@ def study_for(config: FigureConfig, expression_name: str) -> Study:
     )
     _STUDY_CACHE[key] = study
     if store is not None:
-        with store:
-            store.save(store_key, search, regions, prediction, confusion)
+        store.save(store_key, search, regions, prediction, confusion)
     return study
 
 

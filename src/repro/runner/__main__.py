@@ -1,15 +1,15 @@
 """CLI for the parallel multi-study runner.
 
 Regenerate the quick-scale study matrix across 4 processes into a
-shared SQLite store::
+shared study store (one JSON file per study)::
 
     PYTHONPATH=src python -m repro.runner \
-        --scale quick --jobs 4 --store sqlite --cache-dir .study-cache
+        --scale quick --jobs 4 --cache-dir .study-cache
 
 A later benchmark run pointed at the same store
-(``REPRO_CACHE_DIR=.study-cache REPRO_CACHE_STORE=sqlite``) finds
-every study warm.  Extra studies beyond the registered-expression
-matrix ride along via ``--extra scale:seed:expression[:box]``.
+(``REPRO_CACHE_DIR=.study-cache``) finds every study warm.  Extra
+studies beyond the registered-expression matrix ride along via
+``--extra scale:seed:expression[:box]``.
 
 ``--abundance`` widens the matrix to every named box
 (``paper_box``/``wide_box``/``huge_box``) and prints the
@@ -33,7 +33,8 @@ Expression names, boxes, scales and schedules are validated up front
 against
 :func:`repro.expressions.registry.is_known_expression` and the named
 tables — a typo is a usage error here, not a KeyError traceback from a
-worker process.
+worker process.  The expression, component and ``--jobs`` validators
+are the ones :mod:`repro.ablation.cli` uses.
 """
 
 from __future__ import annotations
@@ -43,49 +44,21 @@ import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from repro.ablation.cli import parse_components as _parse_components
+from repro.ablation.cli import (
+    parse_components,
+    positive_int,
+    validated_expression,
+)
 from repro.core.searchspace import NAMED_BOXES
-from repro.expressions.registry import (
-    expression_name_help,
-    is_known_expression,
-)
 from repro.machine.machine import SCHEDULES
-from repro.figures.cache import (
-    CACHE_DIR_ENV,
-    STORE_KINDS,
-    StudyKey,
-    StudyStore,
-    make_store,
-)
+from repro.figures.cache import CACHE_DIR_ENV, StudyKey, StudyStore
+from repro.figures.common import SCALES
 from repro.runner.runner import StudyRunner, study_matrix
-
-_SCALES = ("quick", "full")
-
-
-def _validated_expression(name: str) -> str:
-    name = name.strip()
-    if not is_known_expression(name):
-        raise argparse.ArgumentTypeError(
-            f"unknown expression {name!r}; {expression_name_help()}"
-        )
-    return name
-
-
-def _validated_store(kind: str) -> str:
-    """Store-backend names get the same up-front treatment as
-    expression/scale/box names: a typo is a usage error here, not a
-    per-study failure from inside a worker process."""
-    normalized = kind.strip().lower()
-    if normalized not in STORE_KINDS:
-        raise argparse.ArgumentTypeError(
-            f"unknown store {kind!r}; known: {'/'.join(STORE_KINDS)}"
-        )
-    return normalized
 
 
 def _validated_schedule(name: str) -> str:
-    """Schedule names get the same up-front treatment as stores and
-    expressions: a typo is a usage error listing the known schedules,
+    """Schedule names get the same up-front treatment as expression
+    names: a typo is a usage error listing the known schedules,
     not a ValueError traceback from MachineModel inside a worker."""
     normalized = name.strip().lower()
     if normalized not in SCHEDULES:
@@ -103,9 +76,9 @@ def _parse_extra(raw: str) -> StudyKey:
         )
     scale, seed, expression = parts[0], parts[1], parts[2]
     box = parts[3] if len(parts) == 4 else "paper_box"
-    if scale not in _SCALES:
+    if scale not in SCALES:
         raise argparse.ArgumentTypeError(
-            f"--extra scale must be one of {'/'.join(_SCALES)}, "
+            f"--extra scale must be one of {'/'.join(SCALES)}, "
             f"got {scale!r}"
         )
     try:
@@ -122,7 +95,7 @@ def _parse_extra(raw: str) -> StudyKey:
     return StudyKey(
         scale=scale,
         seed=seed_value,
-        expression=_validated_expression(expression),
+        expression=validated_expression(expression),
         box=box,
     )
 
@@ -143,22 +116,6 @@ def _parse_seeds(raw: str) -> List[int]:
     return seeds
 
 
-def _positive_jobs(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--jobs takes a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        # Usage error here, not a raw ValueError traceback from
-        # StudyRunner.__post_init__.
-        raise argparse.ArgumentTypeError(
-            f"--jobs must be >= 1, got {value}"
-        )
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runner",
@@ -168,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scale",
         action="append",
-        choices=_SCALES,
+        choices=SCALES,
         help="study scale; repeatable (default: quick)",
     )
     parser.add_argument(
@@ -211,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--ablation-components",
-        type=_parse_components,
+        type=parse_components,
         default=None,
         metavar="NAME[,NAME...]",
         help="with --ablation: ablate only these components "
@@ -226,16 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=_positive_jobs,
+        type=positive_int("--jobs"),
         default=1,
         help="worker processes (default: 1 = sequential in-process)",
-    )
-    parser.add_argument(
-        "--store",
-        type=_validated_store,
-        default=STORE_KINDS[0],
-        metavar="{" + ",".join(STORE_KINDS) + "}",
-        help="study-store backend shared by all workers (default: json)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -346,7 +296,6 @@ def _run_ablation(
         ),
         components=args.ablation_components,
         cache_dir=cache_dir,
-        store=args.store,
         jobs=args.jobs,
         report_dir=args.report_dir,
     )
@@ -370,7 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if not name.strip():
                 continue
             try:
-                expressions.append(_validated_expression(name))
+                expressions.append(validated_expression(name))
             except argparse.ArgumentTypeError as exc:
                 parser.error(f"--expressions: {exc}")
     scales = tuple(args.scale) if args.scale else ("quick",)
@@ -412,7 +361,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for key in keys:
             print(key.slug)
         return 0
-    runner = StudyRunner(cache_dir=cache_dir, store=args.store, jobs=args.jobs)
+    runner = StudyRunner(cache_dir=cache_dir, jobs=args.jobs)
     report = runner.run(keys)
     for outcome in report.outcomes:
         line = (
@@ -425,10 +374,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(report.summary())
     ok = report.ok
     if args.abundance:
-        with make_store(args.store, cache_dir) as store:
-            text, complete = _render_abundance(
-                store, scales, args.seeds, abundance_names
-            )
+        text, complete = _render_abundance(
+            StudyStore(cache_dir), scales, args.seeds, abundance_names
+        )
         print()
         print(text)
         ok = ok and complete

@@ -16,7 +16,7 @@ Failures are contained per study: a worker returns a ``failed``
 outcome with the error message instead of poisoning the pool.  Two
 further hardening layers on top of that:
 
-* a store *load* error (corrupted row, unreadable database) falls back
+* a store *load* error (an unreadable or damaged file) falls back
   to recomputation — loads are best-effort per the
   :mod:`repro.figures.cache` contract, so a broken cache entry must
   never fail an otherwise-computable study.  The load error is
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.figures.cache import StudyKey, make_store
+from repro.figures.cache import StudyKey, StudyStore, make_store
 from repro.figures.common import FigureConfig, compute_study_results
 
 
@@ -63,7 +63,6 @@ class RunReport:
     outcomes: Tuple[StudyOutcome, ...]
     wall_seconds: float
     jobs: int
-    store_kind: str
     cache_dir: str
 
     def count(self, status: str) -> int:
@@ -80,7 +79,7 @@ class RunReport:
             f"{self.count('cached')} cached, "
             f"{self.count('failed')} failed) in "
             f"{self.wall_seconds:.2f}s wall with {self.jobs} job(s) "
-            f"({self.store_kind} store at {self.cache_dir})"
+            f"(store at {self.cache_dir})"
         )
 
 
@@ -139,43 +138,40 @@ def run_study(key: StudyKey, store_kind: str, cache_dir: str) -> StudyOutcome:
     pool can pickle it by qualified name under any start method.  It
     never touches the in-process study memo: results flow through the
     store only, which is what makes parallel and sequential runs
-    indistinguishable byte-for-byte.
+    indistinguishable byte-for-byte.  ``store_kind`` must be
+    ``"json"``, the one store (anything else is a ``ValueError``).
     """
+    store = make_store(store_kind, cache_dir)
     start = time.perf_counter()
     notes = []
     try:
-        with make_store(store_kind, Path(cache_dir)) as store:
-            try:
-                loaded = store.load(key)
-            except Exception as exc:
-                # Loads are best-effort (see repro.figures.cache): a
-                # corrupted entry or unreadable database is a cache
-                # miss with a note, never a lost study.
-                loaded = None
-                notes.append(
-                    f"store load failed, recomputed "
-                    f"({type(exc).__name__}: {exc})"
-                )
-            if loaded is not None:
-                return StudyOutcome(
-                    key, "cached", time.perf_counter() - start
-                )
-            config = FigureConfig(
-                scale=key.scale,
-                seed=key.seed,
-                box=key.box,
-                schedule=key.schedule,
-                variant=key.variant,
+        try:
+            loaded = store.load(key)
+        except Exception as exc:
+            # Loads are best-effort (see repro.figures.cache): an
+            # unreadable entry is a cache miss with a note, never a
+            # lost study.
+            loaded = None
+            notes.append(
+                f"store load failed, recomputed "
+                f"({type(exc).__name__}: {exc})"
             )
-            results = compute_study_results(config, key.expression)
-            try:
-                store.save(key, *results)
-            except Exception as exc:
-                # Saves are best-effort too: the study is computed and
-                # usable, it just could not be persisted this time.
-                notes.append(
-                    f"store save failed ({type(exc).__name__}: {exc})"
-                )
+        if loaded is not None:
+            return StudyOutcome(key, "cached", time.perf_counter() - start)
+        config = FigureConfig(
+            scale=key.scale,
+            seed=key.seed,
+            box=key.box,
+            schedule=key.schedule,
+            variant=key.variant,
+        )
+        results = compute_study_results(config, key.expression)
+        try:
+            store.save(key, *results)
+        except Exception as exc:
+            # Saves are best-effort too: the study is computed and
+            # usable, it just could not be persisted this time.
+            notes.append(f"store save failed ({type(exc).__name__}: {exc})")
         return StudyOutcome(
             key,
             "computed",
@@ -191,8 +187,9 @@ def run_study(key: StudyKey, store_kind: str, cache_dir: str) -> StudyOutcome:
         )
 
 
-def _run_study_args(args: Tuple[StudyKey, str, str]) -> StudyOutcome:
-    return run_study(*args)
+def _run_study_args(args: Tuple[StudyKey, str]) -> StudyOutcome:
+    key, cache_dir = args
+    return run_study(key, StudyStore.kind, cache_dir)
 
 
 @dataclass
@@ -200,7 +197,6 @@ class StudyRunner:
     """Partition a study matrix across processes, collect via the store."""
 
     cache_dir: Path
-    store: str = "json"
     jobs: int = 1
     extras: Tuple[StudyKey, ...] = field(default_factory=tuple)
 
@@ -208,15 +204,13 @@ class StudyRunner:
         self.cache_dir = Path(self.cache_dir)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        # Fail fast on an unknown backend, before any worker spawns.
-        make_store(self.store, self.cache_dir).close()
 
     def run(self, keys: Optional[Sequence[StudyKey]] = None) -> RunReport:
         """Run every study of ``keys`` (default: the full matrix)."""
         if keys is None:
             keys = study_matrix(extras=self.extras)
         keys = tuple(keys)
-        args = [(key, self.store, str(self.cache_dir)) for key in keys]
+        args = [(key, str(self.cache_dir)) for key in keys]
         start = time.perf_counter()
         if self.jobs == 1 or len(keys) <= 1:
             outcomes = tuple(_run_study_args(a) for a in args)
@@ -226,12 +220,11 @@ class StudyRunner:
             outcomes=outcomes,
             wall_seconds=time.perf_counter() - start,
             jobs=self.jobs,
-            store_kind=self.store,
             cache_dir=str(self.cache_dir),
         )
 
     def _run_parallel(
-        self, args: Sequence[Tuple[StudyKey, str, str]]
+        self, args: Sequence[Tuple[StudyKey, str]]
     ) -> Tuple[StudyOutcome, ...]:
         """Fan out across a process pool, surviving worker crashes.
 
@@ -259,10 +252,10 @@ class StudyRunner:
         except BrokenProcessPool:
             pass  # the pool can also break during submission or shutdown
         note = "retried sequentially after worker pool broke"
-        for key, store_kind, cache_dir in args:
+        for key, cache_dir in args:
             if key in results:
                 continue
-            outcome = run_study(key, store_kind, cache_dir)
+            outcome = run_study(key, StudyStore.kind, cache_dir)
             error = f"{outcome.error}; {note}" if outcome.error else note
             results[key] = replace(outcome, error=error)
         return tuple(results[a[0]] for a in args)

@@ -3,7 +3,7 @@
 Start an HTTP selection API over a study store::
 
     PYTHONPATH=src python -m repro.service \
-        --store sqlite --cache-dir .study-cache --port 8373 \
+        --store json --cache-dir .study-cache --port 8373 \
         --warm chain4 aatb
 
 then ask it which algorithm to run::
@@ -11,8 +11,10 @@ then ask it which algorithm to run::
     curl -s -X POST http://127.0.0.1:8373/select \
         -d '{"expression": "aatb", "dims": [100, 200, 300]}'
 
-Without ``--store`` the service computes studies locally on demand —
-slower on the first request per expression, but fully self-contained.
+``--store json`` reads studies through the study store in
+``--cache-dir`` (``json`` is its only value).  Without ``--store`` the
+service computes studies locally on demand — slower on the first
+request per expression, but fully self-contained.
 See docs/service.md for the API.
 """
 
@@ -27,12 +29,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.searchspace import NAMED_BOXES
-from repro.figures.cache import (
-    CACHE_DIR_ENV,
-    STORE_KINDS,
-    StudyStore,
-    make_store,
-)
+from repro.figures.cache import CACHE_DIR_ENV, StudyStore
 from repro.service.engine import DEFAULT_LRU_CAPACITY, SelectionEngine
 from repro.service.http import SelectionService
 
@@ -81,9 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--store",
-        choices=STORE_KINDS,
+        choices=(StudyStore.kind,),
         default=None,
-        help="study store backend; omit to compute studies locally",
+        help="read studies through the study store in --cache-dir; "
+        "omit to compute studies locally",
     )
     parser.add_argument(
         "--cache-dir",
@@ -136,7 +134,7 @@ def _build_store(args: argparse.Namespace) -> Optional[StudyStore]:
             f"error: --store {args.store} needs --cache-dir or "
             f"${CACHE_DIR_ENV}"
         )
-    return make_store(args.store, cache_dir)
+    return StudyStore(cache_dir)
 
 
 async def _serve(service: SelectionService, warm: List[str]) -> None:
@@ -190,9 +188,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         asyncio.run(_serve(service, list(args.warm)))
     except KeyboardInterrupt:
         pass
-    finally:
-        if store is not None:
-            store.close()
     return 0
 
 

@@ -43,7 +43,7 @@ from repro.expressions.registry import (
 )
 from repro.ablation.components import ablation_stats
 from repro.figures.cache import StudyKey, StudyStore
-from repro.figures.common import FigureConfig, compute_study_results
+from repro.figures.common import SCALES, FigureConfig, compute_study_results
 from repro.machine.presets import paper_machine
 from repro.profiles.benchmark import PROFILE_AXIS, standard_profiles
 from repro.service.lru import LruCache
@@ -54,8 +54,6 @@ __all__ = ["PROFILE_AXIS", "SelectionEngine", "SelectionError"]
 
 #: Default capacity of the hot-study LRU.
 DEFAULT_LRU_CAPACITY = 8
-
-_SCALES = ("quick", "full")
 
 _MISS = object()
 
@@ -254,8 +252,8 @@ class SelectionEngine:
         lru_capacity: int = DEFAULT_LRU_CAPACITY,
         default_discriminant: str = "hybrid",
     ) -> None:
-        if scale not in _SCALES:
-            raise ValueError(f"scale must be one of {_SCALES}, got {scale!r}")
+        if scale not in SCALES:
+            raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
         if box not in NAMED_BOXES:
             raise ValueError(
                 f"box must be one of {tuple(sorted(NAMED_BOXES))}, "

@@ -298,12 +298,26 @@ def test_cli_rejects_unknown_expression(tmp_path, capsys):
 
 
 def test_cli_store_remote_is_a_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        ablation_main(["--store", "remote", "--cache-dir", str(tmp_path)])
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "unknown store 'remote'" in err
-    assert "json/sqlite" in err
+    # One store, so no --store flag: any value is a usage error.
+    for kind in ("remote", "json"):
+        with pytest.raises(SystemExit) as excinfo:
+            ablation_main(["--store", kind, "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --store" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "two"])
+def test_cli_jobs_errors_match_the_runner_cli(tmp_path, capsys, raw):
+    # Both CLIs validate --jobs with one parser: same usage error text.
+    errors = []
+    for main in (ablation_main, runner_main):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--jobs", raw, "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        errors.append(capsys.readouterr().err.splitlines()[-1])
+    ablation_error, runner_error = (e.split(": ", 1)[1] for e in errors)
+    assert ablation_error == runner_error
+    assert "argument --jobs: --jobs " in ablation_error
 
 
 def test_cli_requires_a_cache_dir(monkeypatch, capsys):

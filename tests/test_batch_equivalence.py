@@ -434,6 +434,38 @@ def test_machine_base_seconds_memo_hits_across_plans(aatb):
         assert fresh.predict_times(algorithm, instances).tolist() == expected
 
 
+@pytest.mark.parametrize("rows", [1, 4])
+def test_base_seconds_cost_bounds_traced_bytes(rows):
+    """The base-seconds budget counts at least what the cache really
+    allocates: one-row entries are mostly per-entry overhead."""
+    import tracemalloc
+
+    from repro.machine import machine as machine_module
+
+    entries = 20_000
+    dims = np.random.default_rng(0).integers(
+        20, 1200, size=(entries, rows, 3), dtype=np.int64
+    )
+    machine = paper_machine(seed=0)
+    tracemalloc.start()
+    try:
+        for start in range(0, entries, 500):
+            machine._base_seconds_memo(
+                [(KernelName.GEMM, dims[i]) for i in range(start, start + 500)]
+            )
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(machine._base_seconds_cache) == entries
+    counted = machine._base_cache_bytes
+    assert counted == entries * machine_module._base_entry_cost(
+        8 * 3 * rows, 8 * rows
+    )
+    assert traced <= counted
+    # Not a gross overcount either: the budget stays meaningful.
+    assert counted <= 2 * traced
+
+
 # ----------------------------------------------------------------------
 # Profiles and profile-based discriminants
 # ----------------------------------------------------------------------

@@ -31,13 +31,3 @@ def test_seed_accepts_integers():
 def test_seed_rejects_non_integers_with_clear_error(raw):
     with pytest.raises(pytest.UsageError, match="REPRO_BENCH_SEED"):
         bench_conftest.parse_bench_seed(raw)
-
-
-def test_cache_store_accepts_valid_and_rejects_junk(monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_STORE", raising=False)
-    assert bench_conftest.parse_cache_store() == "json"
-    monkeypatch.setenv("REPRO_CACHE_STORE", "sqlite")
-    assert bench_conftest.parse_cache_store() == "sqlite"
-    monkeypatch.setenv("REPRO_CACHE_STORE", "redis")
-    with pytest.raises(pytest.UsageError, match="REPRO_CACHE_STORE"):
-        bench_conftest.parse_cache_store()

@@ -22,12 +22,7 @@ import time
 
 import pytest
 
-from repro.figures.cache import (
-    JsonDirectoryStore,
-    SqliteStudyStore,
-    StudyKey,
-    make_store,
-)
+from repro.figures.cache import StudyKey, StudyStore
 from repro.runner.runner import StudyRunner, run_study
 from repro.service import SelectionEngine, SelectionService
 
@@ -40,7 +35,7 @@ DIMS = [[100, 200, 300], [50, 60, 70], [1200, 1200, 1200]]
 
 
 class StorePlan:
-    """A seeded damage schedule for a store backend's text primitives.
+    """A seeded damage schedule for the store's text primitives.
 
     Specs read ``seed=N;delay=S;store.<op>=<kind>[:<times>]``: ``op``
     is ``load`` or ``save``, ``kind`` one of ``corrupt`` (a NUL byte
@@ -85,8 +80,8 @@ class StorePlan:
             return text[: len(text) // 2]
         return text
 
-    def install(self, monkeypatch, store_class):
-        real_load, real_save = store_class.load_text, store_class.save_text
+    def install(self, monkeypatch):
+        real_load, real_save = StudyStore.load_text, StudyStore.save_text
 
         def load_text(store, key):
             kind = self.next_kind("load")
@@ -97,13 +92,12 @@ class StorePlan:
         def save_text(store, key, text):
             real_save(store, key, self.damage(self.next_kind("save"), text))
 
-        monkeypatch.setattr(store_class, "load_text", load_text)
-        monkeypatch.setattr(store_class, "save_text", save_text)
+        monkeypatch.setattr(StudyStore, "load_text", load_text)
+        monkeypatch.setattr(StudyStore, "save_text", save_text)
 
 
-def _raw_entry(kind, root, key):
-    with make_store(kind, root) as store:
-        return store.raw_payload(key)
+def _raw_entry(root, key):
+    return StudyStore(root).load_text(key)
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +105,7 @@ def baseline_bytes(tmp_path_factory):
     """The undamaged canonical payload bytes for KEY."""
     root = tmp_path_factory.mktemp("baseline")
     assert run_study(KEY, "json", str(root)).status == "computed"
-    return JsonDirectoryStore(root).path_for(KEY).read_bytes()
+    return StudyStore(root).path_for(KEY).read_bytes()
 
 
 async def _http(port, method, path, body=None):
@@ -147,9 +141,9 @@ STORE_PLANS = (
 )
 
 
-def _heal_under(monkeypatch, tmp_path, spec, kind, store_class):
-    StorePlan(spec).install(monkeypatch, store_class)
-    outcomes = [run_study(KEY, kind, str(tmp_path)) for _ in range(4)]
+def _heal_under(monkeypatch, tmp_path, spec):
+    StorePlan(spec).install(monkeypatch)
+    outcomes = [run_study(KEY, "json", str(tmp_path)) for _ in range(4)]
     monkeypatch.undo()
     # No study failed, whatever the plan broke along the way: the
     # damaged entry cost exactly one recompute...
@@ -162,54 +156,38 @@ def _heal_under(monkeypatch, tmp_path, spec, kind, store_class):
     # ...and once the plan is exhausted the stored payload is exactly
     # the undamaged one: damaged entries became misses, recomputes
     # overwrote them with canonical bytes.
-    assert run_study(KEY, kind, str(tmp_path)).status == "cached"
-    return _raw_entry(kind, tmp_path, KEY)
+    assert run_study(KEY, "json", str(tmp_path)).status == "cached"
+    return _raw_entry(tmp_path, KEY)
 
 
 @pytest.mark.parametrize("spec", STORE_PLANS)
 def test_store_chaos_heals_byte_identically(
     tmp_path, monkeypatch, spec, baseline_bytes
 ):
-    healed = _heal_under(
-        monkeypatch, tmp_path, spec, "json", JsonDirectoryStore
-    )
+    healed = _heal_under(monkeypatch, tmp_path, spec)
     assert healed.encode() == baseline_bytes
-    path = JsonDirectoryStore(tmp_path).path_for(KEY)
+    path = StudyStore(tmp_path).path_for(KEY)
     assert path.read_bytes() == baseline_bytes
-
-
-@pytest.mark.parametrize("spec", STORE_PLANS)
-def test_sqlite_store_chaos_heals_byte_identically(
-    tmp_path, monkeypatch, spec, baseline_bytes
-):
-    healed = _heal_under(
-        monkeypatch, tmp_path, spec, "sqlite", SqliteStudyStore
-    )
-    assert healed.encode() == baseline_bytes
 
 
 def test_corrupt_load_is_a_miss_not_a_failure(
     tmp_path, monkeypatch, baseline_bytes
 ):
     assert run_study(KEY, "json", str(tmp_path)).status == "computed"
-    StorePlan("seed=4;store.load=corrupt:1").install(
-        monkeypatch, JsonDirectoryStore
-    )
+    StorePlan("seed=4;store.load=corrupt:1").install(monkeypatch)
     outcome = run_study(KEY, "json", str(tmp_path))
     monkeypatch.undo()
     # The entry on disk was fine; the corrupted read made the load a
     # miss, so the study recomputed instead of failing.
     assert outcome.status == "computed"
     assert outcome.error == ""
-    path = JsonDirectoryStore(tmp_path).path_for(KEY)
+    path = StudyStore(tmp_path).path_for(KEY)
     assert path.read_bytes() == baseline_bytes
 
 
 def test_raising_store_load_surfaces_a_note(tmp_path, monkeypatch):
     assert run_study(KEY, "json", str(tmp_path)).status == "computed"
-    StorePlan("seed=5;store.load=error:1").install(
-        monkeypatch, JsonDirectoryStore
-    )
+    StorePlan("seed=5;store.load=error:1").install(monkeypatch)
     outcome = run_study(KEY, "json", str(tmp_path))
     monkeypatch.undo()
     assert outcome.status == "computed"
@@ -219,18 +197,16 @@ def test_raising_store_load_surfaces_a_note(tmp_path, monkeypatch):
 def test_raising_store_save_surfaces_a_note(
     tmp_path, monkeypatch, baseline_bytes
 ):
-    StorePlan("seed=6;store.save=error:1").install(
-        monkeypatch, JsonDirectoryStore
-    )
+    StorePlan("seed=6;store.save=error:1").install(monkeypatch)
     outcome = run_study(KEY, "json", str(tmp_path))
     # The study is computed and usable; it just was not persisted.
     assert outcome.status == "computed"
     assert "store save failed (OSError" in outcome.error
-    assert _raw_entry("json", tmp_path, KEY) is None
+    assert _raw_entry(tmp_path, KEY) is None
     # The plan is spent: the next run persists the canonical bytes.
     assert run_study(KEY, "json", str(tmp_path)).error == ""
     monkeypatch.undo()
-    path = JsonDirectoryStore(tmp_path).path_for(KEY)
+    path = StudyStore(tmp_path).path_for(KEY)
     assert path.read_bytes() == baseline_bytes
     assert run_study(KEY, "json", str(tmp_path)).status == "cached"
 
@@ -261,18 +237,14 @@ def test_worker_crash_chaos_salvages_byte_identically(
         return real_run_study(key, store_kind, cache_dir)
 
     monkeypatch.setattr(runner_module, "run_study", dying_run_study)
-    report = StudyRunner(
-        cache_dir=tmp_path / "crashed", store="json", jobs=2
-    ).run(MATRIX)
+    report = StudyRunner(cache_dir=tmp_path / "crashed", jobs=2).run(MATRIX)
     monkeypatch.undo()
     assert report.ok
     salvaged = {o.key for o in report.outcomes if "pool broke" in o.error}
     assert doomed in salvaged
-    StudyRunner(cache_dir=tmp_path / "plain", store="json", jobs=1).run(
-        MATRIX
-    )
-    crashed = JsonDirectoryStore(tmp_path / "crashed")
-    plain = JsonDirectoryStore(tmp_path / "plain")
+    StudyRunner(cache_dir=tmp_path / "plain", jobs=1).run(MATRIX)
+    crashed = StudyStore(tmp_path / "crashed")
+    plain = StudyStore(tmp_path / "plain")
     for key in MATRIX:
         assert (
             crashed.path_for(key).read_bytes()
@@ -289,16 +261,14 @@ def test_worker_crash_chaos_salvages_byte_identically(
 def test_selections_stay_index_identical_under_store_corruption(
     tmp_path, monkeypatch
 ):
-    store = JsonDirectoryStore(tmp_path)
+    store = StudyStore(tmp_path)
     clean = SelectionEngine(scale="quick", seed=0, store=store)
     expected = [
         s.algorithm_index for s in clean.select_many("aatb", DIMS)
     ]
     # Every store load is corrupted: the engine sees only misses and
     # must compute locally — and pick identically.
-    StorePlan("seed=31;store.load=corrupt:*").install(
-        monkeypatch, JsonDirectoryStore
-    )
+    StorePlan("seed=31;store.load=corrupt:*").install(monkeypatch)
     chaotic = SelectionEngine(scale="quick", seed=0, store=store)
     got = chaotic.select_many("aatb", DIMS)
     monkeypatch.undo()

@@ -1,4 +1,4 @@
-"""On-disk study stores: exact round-trip and graceful degradation."""
+"""The on-disk study store: exact round-trip and graceful degradation."""
 
 import json
 import os
@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.figures import cache
-from repro.figures.cache import JsonDirectoryStore, SqliteStudyStore, StudyKey
+from repro.figures.cache import StudyKey, StudyStore
 from repro.figures.common import FigureConfig, clear_study_cache, study_for
 
 KEY = StudyKey(scale="quick", seed=0, expression="aatb")
@@ -27,7 +27,7 @@ def _save(store, study, key=KEY):
     )
 
 
-@pytest.mark.parametrize("kind", cache.STORE_KINDS)
+@pytest.mark.parametrize("kind", ["json"])
 def test_payload_round_trip_is_exact(tmp_path, computed_study, kind):
     study = computed_study
     with cache.make_store(kind, tmp_path) as store:
@@ -42,7 +42,7 @@ def test_payload_round_trip_is_exact(tmp_path, computed_study, kind):
     assert loaded["confusion"] == study.confusion
 
 
-@pytest.mark.parametrize("kind", cache.STORE_KINDS)
+@pytest.mark.parametrize("kind", ["json"])
 def test_study_for_uses_disk_store_across_process_caches(
     tmp_path, computed_study, monkeypatch, kind
 ):
@@ -50,7 +50,6 @@ def test_study_for_uses_disk_store_across_process_caches(
     with cache.make_store(kind, tmp_path) as store:
         _save(store, study)
     monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
-    monkeypatch.setenv(cache.CACHE_STORE_ENV, kind)
     clear_study_cache()  # simulate a fresh process
     try:
         reloaded = study_for(FigureConfig(scale="quick", seed=0), "aatb")
@@ -66,7 +65,7 @@ def test_key_mismatch_and_corruption_fall_back_to_none(
     tmp_path, computed_study
 ):
     study = computed_study
-    store = JsonDirectoryStore(tmp_path)
+    store = StudyStore(tmp_path)
     _save(store, study)
     # Wrong key coordinates → miss, not a crash.
     assert store.load(StudyKey("quick", 1, "aatb")) is None
@@ -84,39 +83,16 @@ def test_key_mismatch_and_corruption_fall_back_to_none(
     # Non-UTF-8 bytes (disk corruption) → rejected, not raised.
     path.write_bytes(b"\xff\xfe not json \x80")
     assert store.load(KEY) is None
-    # Unreadable directory → save is best-effort, load misses.
-    missing = JsonDirectoryStore(tmp_path / "does-not-exist-file" / "nested")
-    assert missing.load(KEY) is None
-
-
-def test_sqlite_store_rejects_mismatched_and_tampered_rows(
-    tmp_path, computed_study
-):
-    study = computed_study
-    with SqliteStudyStore(tmp_path) as store:
-        _save(store, study)
-        assert store.load(StudyKey("quick", 1, "aatb")) is None
-        assert (
-            store.load(StudyKey("quick", 0, "aatb", box="wide_box")) is None
-        )
-        # Tamper the stored payload text → rejected, not crashed.
-        conn = store._connect()
-        with conn:
-            conn.execute(
-                "UPDATE studies SET payload = ? WHERE skey = ?",
-                (store.raw_payload(KEY)[:40], KEY.slug),
-            )
-        assert store.load(KEY) is None
-    # A store over an unwritable root degrades to a no-op.
-    broken = SqliteStudyStore(tmp_path / "file-not-dir" / "nested")
+    # A store over an unwritable root: save is a no-op, load misses.
     (tmp_path / "file-not-dir").write_text("in the way")
+    broken = StudyStore(tmp_path / "file-not-dir" / "nested")
     _save(broken, study)
     assert broken.load(KEY) is None
+    assert broken.load_text(KEY) is None
 
 
 def test_env_knobs_control_disk_layer(monkeypatch):
     monkeypatch.delenv(cache.CACHE_DIR_ENV, raising=False)
-    monkeypatch.delenv(cache.CACHE_STORE_ENV, raising=False)
     assert cache.cache_dir_from_env() is None
     assert cache.store_from_env() is None
     monkeypatch.setenv(cache.CACHE_DIR_ENV, "  ")
@@ -127,28 +103,19 @@ def test_env_knobs_control_disk_layer(monkeypatch):
     assert os.path.basename(
         str(cache.study_path(cache.cache_dir_from_env(), key))
     ) == f"study-v{cache.SCHEMA_VERSION}-quick-seed3-aatb-paper_box.json"
-    # Store-kind selection: default json, explicit sqlite, junk rejected.
-    assert isinstance(cache.store_from_env(), JsonDirectoryStore)
-    monkeypatch.setenv(cache.CACHE_STORE_ENV, "SQLite")
-    assert isinstance(cache.store_from_env(), SqliteStudyStore)
-    monkeypatch.setenv(cache.CACHE_STORE_ENV, "mongodb")
-    with pytest.raises(ValueError, match=cache.CACHE_STORE_ENV):
-        cache.store_from_env()
-    with pytest.raises(ValueError, match="unknown store kind"):
-        cache.make_store("mongodb", "/tmp/somewhere")
+    # The directory is the only knob: it selects the one store.
+    store = cache.store_from_env()
+    assert isinstance(store, StudyStore)
+    assert str(store.root) == "/tmp/somewhere"
 
 
-def test_make_store_rejects_unknown_kind(tmp_path, monkeypatch):
-    # Only the two local kinds exist, through the factory and through
-    # REPRO_CACHE_STORE alike.
-    for kind in ("remote", "postgres"):
-        with pytest.raises(ValueError) as excinfo:
+def test_make_store_rejects_unknown_kind(tmp_path):
+    # The factory builds the one store, and only under its own name.
+    store = cache.make_store("json", tmp_path)
+    assert isinstance(store, StudyStore) and store.root == tmp_path
+    for kind in ("remote", "postgres", "JSON", ""):
+        with pytest.raises(ValueError, match="the only store is 'json'"):
             cache.make_store(kind, tmp_path)
-        assert "json/sqlite" in str(excinfo.value)
-    monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
-    monkeypatch.setenv(cache.CACHE_STORE_ENV, "remote")
-    with pytest.raises(ValueError, match="json/sqlite"):
-        cache.store_from_env()
 
 
 def test_box_knob_is_part_of_config_and_key():

@@ -10,13 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.figures.cache import (
-    STORE_KINDS,
-    JsonDirectoryStore,
-    SqliteStudyStore,
-    StudyKey,
-    make_store,
-)
+from repro.figures.cache import StudyKey, StudyStore
 from repro.runner import StudyRunner, study_matrix
 from repro.runner.__main__ import main as runner_main
 from repro.runner.runner import run_study
@@ -42,13 +36,13 @@ def test_study_matrix_enumerates_registered_expressions_plus_extras():
 
 
 def _json_bytes(root: Path) -> dict:
-    store = JsonDirectoryStore(root)
+    store = StudyStore(root)
     return {key.slug: store.path_for(key).read_bytes() for key in MATRIX}
 
 
 def test_parallel_and_sequential_json_payloads_are_byte_identical(tmp_path):
-    sequential = StudyRunner(cache_dir=tmp_path / "seq", store="json", jobs=1)
-    parallel = StudyRunner(cache_dir=tmp_path / "par", store="json", jobs=2)
+    sequential = StudyRunner(cache_dir=tmp_path / "seq", jobs=1)
+    parallel = StudyRunner(cache_dir=tmp_path / "par", jobs=2)
     seq_report = sequential.run(MATRIX)
     par_report = parallel.run(MATRIX)
     assert seq_report.ok and par_report.ok
@@ -57,22 +51,8 @@ def test_parallel_and_sequential_json_payloads_are_byte_identical(tmp_path):
     assert _json_bytes(tmp_path / "seq") == _json_bytes(tmp_path / "par")
 
 
-def test_parallel_sqlite_matches_sequential_json_payloads(tmp_path):
-    StudyRunner(cache_dir=tmp_path / "seq", store="json", jobs=1).run(MATRIX)
-    report = StudyRunner(
-        cache_dir=tmp_path / "sq", store="sqlite", jobs=2
-    ).run(MATRIX)
-    assert report.ok
-    json_texts = {
-        slug: data.decode() for slug, data in _json_bytes(tmp_path / "seq").items()
-    }
-    with SqliteStudyStore(tmp_path / "sq") as store:
-        for key in MATRIX:
-            assert store.raw_payload(key) == json_texts[key.slug]
-
-
 def test_second_run_is_all_cache_hits_and_failures_are_contained(tmp_path):
-    runner = StudyRunner(cache_dir=tmp_path, store="sqlite", jobs=1)
+    runner = StudyRunner(cache_dir=tmp_path, jobs=1)
     assert runner.run(MATRIX).count("computed") == len(MATRIX)
     rerun = runner.run(MATRIX)
     assert rerun.count("cached") == len(MATRIX)
@@ -89,7 +69,7 @@ def test_run_study_respects_box_in_key(tmp_path):
     key = StudyKey("quick", 0, "aatb", box="wide_box")
     outcome = run_study(key, "json", str(tmp_path))
     assert outcome.status == "computed"
-    store = JsonDirectoryStore(tmp_path)
+    store = StudyStore(tmp_path)
     loaded = store.load(key)
     assert loaded is not None
     # The wider box admits dims beyond the paper's 1200 cap.
@@ -110,7 +90,6 @@ def test_cli_runs_matrix_and_lists(tmp_path, capsys):
                 "--seeds", "0",
                 "--expressions", "aatb",
                 "--jobs", "1",
-                "--store", "sqlite",
                 "--cache-dir", cache_dir,
             ]
         )
@@ -179,43 +158,27 @@ def test_cli_rejects_malformed_extras(tmp_path, capsys, extra, fragment):
 
 
 def test_cli_rejects_unknown_store_upfront(tmp_path, capsys):
-    # Same validation style as expression/scale/box names: a bad
-    # backend name is a usage error at parse time, never a per-study
-    # failure inside a worker.
+    # There is one store, so the runner has no --store flag: passing
+    # one is a usage error at parse time, never a per-study failure
+    # inside a worker.
     with pytest.raises(SystemExit) as excinfo:
         runner_main(
             ["--store", "postgres", "--cache-dir", str(tmp_path)]
         )
     assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "unknown store 'postgres'" in err
-    assert "json/sqlite" in err  # the error teaches the valid kinds
+    assert "unrecognized arguments: --store" in capsys.readouterr().err
 
 
 def test_cli_store_remote_is_a_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        runner_main(["--store", "remote", "--cache-dir", str(tmp_path)])
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "unknown store 'remote'" in err
-    assert "json/sqlite" in err
-
-
-def test_cli_store_names_are_case_insensitive(tmp_path, capsys):
-    assert (
-        runner_main(
-            [
-                "--list",
-                "--store", "SQLite",
-                "--cache-dir", str(tmp_path),
-            ]
-        )
-        == 0
-    )
+    for kind in ("remote", "json"):
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main(["--store", kind, "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --store" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_schedule_upfront(tmp_path, capsys):
-    # Same validation style as store names: a bad schedule is a usage
+    # Same validation style as expression names: a bad schedule is a usage
     # error at parse time, not a ValueError traceback from MachineModel
     # inside a worker process.
     with pytest.raises(SystemExit) as excinfo:
@@ -335,12 +298,21 @@ def test_run_study_recomputes_when_store_entry_is_corrupt(tmp_path):
     # deterministic per key).
     key = MATRIX[0]
     assert run_study(key, "json", str(tmp_path)).status == "computed"
-    path = JsonDirectoryStore(tmp_path).path_for(key)
+    path = StudyStore(tmp_path).path_for(key)
     good = path.read_bytes()
     path.write_text("{corrupted", encoding="utf-8")
     outcome = run_study(key, "json", str(tmp_path))
     assert outcome.status == "computed"
     assert path.read_bytes() == good
+
+
+def test_run_study_accepts_only_the_json_store(tmp_path):
+    # The kind argument names the one store; anything else is refused
+    # before any study runs or any file is written.
+    for kind in ("remote", "JSON", ""):
+        with pytest.raises(ValueError, match="the only store is 'json'"):
+            run_study(MATRIX[0], kind, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_study_surfaces_a_raising_store_load(tmp_path, monkeypatch):
@@ -350,35 +322,26 @@ def test_run_study_surfaces_a_raising_store_load(tmp_path, monkeypatch):
     def explode(self, key):
         raise OSError("disk on fire")
 
-    monkeypatch.setattr(JsonDirectoryStore, "load", explode)
+    monkeypatch.setattr(StudyStore, "load", explode)
     outcome = run_study(MATRIX[0], "json", str(tmp_path))
     assert outcome.status == "computed"
     assert "store load failed, recomputed" in outcome.error
     assert "disk on fire" in outcome.error
     monkeypatch.undo()
-    assert JsonDirectoryStore(tmp_path).load(MATRIX[0]) is not None
+    assert StudyStore(tmp_path).load(MATRIX[0]) is not None
 
 
-def _write_raw_entry(store_kind, root, key, text):
+def _write_raw_entry(root, key, text):
     """Overwrite one stored payload with ``text``, bypassing the codec."""
-    if store_kind == "json":
-        JsonDirectoryStore(root).path_for(key).write_text(text)
-        return
-    with SqliteStudyStore(root) as store:
-        with store._connect() as conn:
-            conn.execute(
-                "UPDATE studies SET payload = ? WHERE skey = ?",
-                (text, key.slug),
-            )
+    StudyStore(root).path_for(key).write_text(text)
 
 
-def _raw_entry(store_kind, root, key):
-    with make_store(store_kind, root) as store:
-        return store.raw_payload(key)
+def _raw_entry(root, key):
+    return StudyStore(root).load_text(key)
 
 
 @pytest.mark.parametrize("damage", ["corrupt", "truncated"])
-@pytest.mark.parametrize("store_kind", STORE_KINDS)
+@pytest.mark.parametrize("store_kind", ["json"])
 def test_damaged_store_entry_heals_to_baseline_bytes(
     tmp_path, store_kind, damage
 ):
@@ -387,18 +350,18 @@ def test_damaged_store_entry_heals_to_baseline_bytes(
     # bytes, and the run after that is a plain cache hit.
     key = MATRIX[0]
     assert run_study(key, store_kind, str(tmp_path)).status == "computed"
-    baseline = _raw_entry(store_kind, tmp_path, key)
+    baseline = _raw_entry(tmp_path, key)
     damaged = (
         baseline.replace('"', "'", 3)
         if damage == "corrupt"
         else baseline[: len(baseline) // 2]
     )
-    _write_raw_entry(store_kind, tmp_path, key, damaged)
-    assert _raw_entry(store_kind, tmp_path, key) == damaged
+    _write_raw_entry(tmp_path, key, damaged)
+    assert _raw_entry(tmp_path, key) == damaged
     outcome = run_study(key, store_kind, str(tmp_path))
     assert outcome.status == "computed"
     assert outcome.error == ""
-    assert _raw_entry(store_kind, tmp_path, key) == baseline
+    assert _raw_entry(tmp_path, key) == baseline
     assert run_study(key, store_kind, str(tmp_path)).status == "cached"
 
 
@@ -440,7 +403,7 @@ def test_runner_salvages_a_broken_process_pool(tmp_path, monkeypatch):
     # One key already in the store: a worker that finished before the
     # pool broke; its retry must report "cached", not recompute.
     assert run_study(MATRIX[1], "json", str(tmp_path)).status == "computed"
-    report = StudyRunner(cache_dir=tmp_path, store="json", jobs=2).run(
+    report = StudyRunner(cache_dir=tmp_path, jobs=2).run(
         MATRIX[:3]
     )
     assert report.ok
@@ -450,7 +413,7 @@ def test_runner_salvages_a_broken_process_pool(tmp_path, monkeypatch):
     assert report.outcomes[2].status == "computed"
     for outcome in report.outcomes[1:]:
         assert "retried sequentially after worker pool broke" in outcome.error
-    store = JsonDirectoryStore(tmp_path)
+    store = StudyStore(tmp_path)
     for key in MATRIX[:3]:
         assert store.load(key) is not None
 
@@ -484,7 +447,7 @@ def test_salvage_reruns_each_missing_key_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner_module, "ProcessPoolExecutor", ExplodingPool)
     monkeypatch.setattr(runner_module, "run_study", counting_run_study)
-    report = StudyRunner(cache_dir=tmp_path, store="json", jobs=2).run(
+    report = StudyRunner(cache_dir=tmp_path, jobs=2).run(
         MATRIX[:2]
     )
     assert report.ok
@@ -506,7 +469,7 @@ def test_salvage_reports_a_key_whose_rerun_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner_module, "ProcessPoolExecutor", ExplodingPool)
     monkeypatch.setattr(runner_module, "compute_study_results", compute)
-    report = StudyRunner(cache_dir=tmp_path, store="json", jobs=2).run(
+    report = StudyRunner(cache_dir=tmp_path, jobs=2).run(
         MATRIX[:2]
     )
     assert not report.ok
@@ -523,7 +486,7 @@ def test_runner_survives_pool_breaking_at_construction(tmp_path, monkeypatch):
     from repro.runner import runner as runner_module
 
     monkeypatch.setattr(runner_module, "ProcessPoolExecutor", ExplodingPool)
-    report = StudyRunner(cache_dir=tmp_path, store="json", jobs=2).run(
+    report = StudyRunner(cache_dir=tmp_path, jobs=2).run(
         MATRIX[:2]
     )
     assert report.ok

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.figures.cache import JsonDirectoryStore, StudyKey
+from repro.figures.cache import StudyKey, StudyStore
 from repro.service import (
     LruCache,
     SelectionBatcher,
@@ -140,7 +140,7 @@ def test_engine_rejects_unknown_discriminant(engine):
 
 
 def test_engine_reads_through_store_then_lru(tmp_path):
-    store = JsonDirectoryStore(tmp_path)
+    store = StudyStore(tmp_path)
     first = SelectionEngine(scale="quick", seed=0, store=store)
     selection = first.select("aatb", [100, 200, 300])
     assert selection.study_source == "computed"
@@ -178,7 +178,7 @@ def test_engine_survives_a_broken_store():
 def test_engine_over_a_corrupted_store_computes_and_picks_identically(
     tmp_path, engine
 ):
-    store = JsonDirectoryStore(tmp_path)
+    store = StudyStore(tmp_path)
     key = StudyKey("quick", 0, "aatb")
     store.path_for(key).parent.mkdir(parents=True, exist_ok=True)
     store.path_for(key).write_text("{corrupted")
@@ -195,7 +195,7 @@ def test_engine_over_a_corrupted_store_computes_and_picks_identically(
 
 def test_engine_warm_preloads_the_lru(tmp_path):
     engine = SelectionEngine(
-        scale="quick", seed=0, store=JsonDirectoryStore(tmp_path)
+        scale="quick", seed=0, store=StudyStore(tmp_path)
     )
     assert engine.warm(["aatb"]) == ["computed"]
     assert engine.warm(["aatb"]) == ["lru"]
@@ -651,6 +651,32 @@ def test_cli_store_remote_is_a_usage_error(tmp_path, capsys):
         service_main(["--store", "remote", "--cache-dir", str(tmp_path)])
     assert excinfo.value.code == 2
     assert "invalid choice: 'remote'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["JSON", "postgres"])
+def test_cli_store_has_the_single_choice_json(tmp_path, capsys, kind):
+    from repro.service.__main__ import main as service_main
+
+    with pytest.raises(SystemExit) as excinfo:
+        service_main(["--store", kind, "--cache-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"invalid choice: '{kind}'" in err
+    assert err.rstrip().endswith("json')") or err.rstrip().endswith("json)")
+
+
+def test_cli_store_json_needs_a_cache_dir(monkeypatch):
+    from repro.service.__main__ import build_parser, _build_store
+
+    parser = build_parser()
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    assert _build_store(parser.parse_args([])) is None
+    with pytest.raises(SystemExit, match="--store json needs --cache-dir"):
+        _build_store(parser.parse_args(["--store", "json"]))
+    monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/studies")
+    store = _build_store(parser.parse_args(["--store", "json"]))
+    assert isinstance(store, StudyStore)
+    assert str(store.root) == "/tmp/studies"
 
 
 def test_service_validates_overload_configuration(engine):

@@ -1,12 +1,11 @@
 """Concurrent store access: racing writers, torn-free readers.
 
 Two processes race to write the same study key many times while the
-parent reads continuously.  The contract for both backends: a reader
-observes either a miss or one complete, valid payload — never a torn
-file or partial row — and after the dust settles exactly one valid
-payload remains.  (Real contention looks exactly like this: runner
-workers recomputing the same deterministic study write identical
-payloads.)
+parent reads continuously.  The contract: a reader observes either a
+miss or one complete, valid payload — never a torn file — and after
+the dust settles exactly one valid payload remains.  (Real contention
+looks exactly like this: runner workers recomputing the same
+deterministic study write identical payloads.)
 """
 
 import multiprocessing
@@ -18,7 +17,7 @@ from repro.core.classify import Verdict
 from repro.experiments.prediction import Prediction, PredictionRecord
 from repro.experiments.random_search import Anomaly, SearchResult
 from repro.experiments.regions import DimExtent, Region, RegionCell, Regions
-from repro.figures.cache import STORE_KINDS, StudyKey, make_store
+from repro.figures.cache import StudyKey, StudyStore, make_store
 
 KEY = StudyKey(scale="quick", seed=0, expression="aatb")
 
@@ -83,7 +82,7 @@ def _writer(kind, root, barrier):
             store.save(KEY, *study)
 
 
-@pytest.mark.parametrize("kind", STORE_KINDS)
+@pytest.mark.parametrize("kind", ["json"])
 def test_racing_writers_one_valid_payload_no_torn_reads(tmp_path, kind):
     search, regions, prediction, confusion = _tiny_study()
     # Reference payload: what any single writer would persist.
@@ -123,16 +122,14 @@ def test_racing_writers_one_valid_payload_no_torn_reads(tmp_path, kind):
     with make_store(kind, root) as store:
         assert store.load(KEY) == expected
         assert store.load(StudyKey("quick", 1, "aatb")) is None
-    if kind == "json":
-        # Atomic replace leaves no temp litter and exactly one file.
-        files = sorted(p.name for p in root.iterdir())
-        assert files == [f"study-v2-{KEY.slug}.json"]
+    # Atomic replace leaves no temp litter and exactly one file.
+    files = sorted(p.name for p in root.iterdir())
+    assert files == [f"study-v2-{KEY.slug}.json"]
 
 
-@pytest.mark.parametrize("kind", STORE_KINDS)
+@pytest.mark.parametrize("kind", ["json"])
 def test_concurrent_runner_workers_share_one_key(tmp_path, kind):
     """Two processes race compute-and-store on the SAME study key."""
-    from repro.figures.cache import JsonDirectoryStore
     from repro.runner.runner import run_study
 
     ctx = multiprocessing.get_context()
@@ -152,12 +149,6 @@ def test_concurrent_runner_workers_share_one_key(tmp_path, kind):
     # computation's payload byte-for-byte.
     solo = run_study(KEY, "json", str(tmp_path / "solo"))
     assert solo.status == "computed"
-    solo_text = (
-        JsonDirectoryStore(tmp_path / "solo").path_for(KEY).read_text()
-    )
-    if kind == "json":
-        raced_text = JsonDirectoryStore(tmp_path).path_for(KEY).read_text()
-    else:
-        with make_store(kind, tmp_path) as store:
-            raced_text = store.raw_payload(KEY)
+    solo_text = StudyStore(tmp_path / "solo").path_for(KEY).read_text()
+    raced_text = StudyStore(tmp_path).path_for(KEY).read_text()
     assert raced_text == solo_text
